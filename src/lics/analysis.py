@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import INITS, TimeGrid, eigenvalues, evolve, integrate
+from .dynamics import INITS, TimeGrid, _ionization_values, eigenvalues, evolve, integrate
 from .model import Params, bright_hamiltonian, nondegenerate_hamiltonian
 from .transforms import Basis, State
 
@@ -46,6 +46,15 @@ def trapping_delta(p: Params) -> float:
     )
 
 
+def _require_trapping(p: Params, what: str) -> None:
+    """Reject ``p`` unless its detuning sits at ``trapping_delta(p)``."""
+    target = trapping_delta(p)
+    if abs(p.delta - target) > 1e-9:
+        raise ValueError(
+            f"{what} requires delta at the trapping value {target:.12g}, got {p.delta:.12g}"
+        )
+
+
 def trapping_residual(p: Params, delta: float) -> float:
     """Smallest |Im eigenvalue| of the bright pair at the given detuning.
 
@@ -62,10 +71,7 @@ def ionization(s: State) -> float:
     Values in [-1e-9, 0) are reported as 0; they are roundoff, not
     physics.
     """
-    value = 1.0 - s.norm_sq
-    if -1e-9 <= value < 0.0:
-        return 0.0
-    return value
+    return float(_ionization_values(s.amps))
 
 
 @dataclass
@@ -127,12 +133,7 @@ def asymptotic_survival(p: Params, init) -> float:
     """
     if init not in INITS:
         raise ValueError(f"unknown init {init!r}, expected one of {INITS}")
-    target = trapping_delta(p)
-    if abs(p.delta - target) > 1e-9:
-        raise ValueError(
-            f"asymptotic survival requires delta at the trapping value {target:.12g},"
-            f" got {p.delta:.12g}"
-        )
+    _require_trapping(p, "asymptotic survival")
     total = p.gamma_e + p.gamma_g
     bright_part = p.gamma_e / total if total > 0 else 1.0
     if init == "bright":

@@ -450,7 +450,7 @@ def run(cfg: RunConfig) -> int:
     if cfg.command == "evolve":
         out = _require_out(cfg)
         grid = TimeGrid(cfg.t_start, cfg.t_end, cfg.n_samples)
-        traj = evolve(cfg.params, cfg.model, cfg.init, grid, cfg.tol)
+        traj = evolve(cfg.params, cfg.model, cfg.init, grid)
         write_csv(traj, out)
         if cfg.plot:
             render_svg(traj, _svg_path(out))

@@ -1,10 +1,11 @@
-"""State propagation: eigen-solver, matrix exponential, adaptive RK, closed forms.
+"""State propagation: eigensystem, matrix exponential, adaptive RK, closed forms.
 
 Three independent routes compute the same constant-Hamiltonian evolution
 i dc/dt = H c:
 
-* ``propagate_expm``: exact exponential through an eigen-decomposition,
-  with a scaling-and-squaring Pade fallback for ill-conditioned cases;
+* ``propagate_expm``: exact exponential through an eigen-decomposition
+  whose eigenpairs come from LAPACK, with a scaling-and-squaring Pade
+  fallback for defective or ill-conditioned cases;
 * ``integrate``: an embedded Dormand-Prince 5(4) Runge-Kutta solver with
   PI step control and dense output;
 * ``analytic_bright`` / ``analytic_g1``: closed-form amplitudes, valid
@@ -119,131 +120,15 @@ class Eigensystem:
     degenerate: bool
 
 
-def _ionization_values(amp_matrix: np.ndarray) -> np.ndarray:
-    ion = 1.0 - (np.abs(amp_matrix) ** 2).sum(axis=1)
-    ion[(ion < 0.0) & (ion > -1e-9)] = 0.0
-    return ion
+def _ionization_values(amps: np.ndarray) -> np.ndarray:
+    """1 - |amps|^2 over the last axis; values in [-1e-9, 0) are
+    roundoff, not physics, and are reported as 0."""
+    ion = 1.0 - (np.abs(amps) ** 2).sum(axis=-1)
+    return np.where((ion < 0.0) & (ion >= -1e-9), 0.0, ion)
 
 
 # ---------------------------------------------------------------------------
 # eigen-solver
-
-
-def _charpoly(m: CMatrix) -> np.ndarray:
-    """Monic characteristic polynomial coefficients via trace identities."""
-    t1 = m.trace()
-    m2 = m @ m
-    t2 = m2.trace()
-    if m.shape[0] == 2:
-        return np.array([1.0, -t1, (t1 * t1 - t2) / 2.0], dtype=np.complex128)
-    m3 = m2 @ m
-    m4 = m2 @ m2
-    t3 = m3.trace()
-    t4 = m4.trace()
-    e1 = t1
-    e2 = (t1**2 - t2) / 2.0
-    e3 = (t1**3 - 3.0 * t1 * t2 + 2.0 * t3) / 6.0
-    e4 = (t1**4 - 6.0 * t1**2 * t2 + 3.0 * t2**2 + 8.0 * t1 * t3 - 6.0 * t4) / 24.0
-    return np.array([1.0, -e1, e2, -e3, e4], dtype=np.complex128)
-
-
-def _horner(coeffs: np.ndarray, z):
-    """Evaluate a polynomial at scalar or vector z (highest power first)."""
-    result = coeffs[0] * np.ones_like(z)
-    for c in coeffs[1:]:
-        result = result * z + c
-    return result
-
-
-def _durand_kerner(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of a monic polynomial by simultaneous iteration."""
-    n = len(coeffs) - 1
-    radius = 1.0 + np.abs(coeffs[1:]).max()
-    z = radius * (0.4 + 0.9j) ** np.arange(n)
-    for _ in range(500):
-        pz = _horner(coeffs, z)
-        diffs = z[:, None] - z[None, :]
-        np.fill_diagonal(diffs, 1.0)
-        step = pz / diffs.prod(axis=1)
-        z = z - step
-        if np.abs(step).max() < 1e-15 * (1.0 + np.abs(z).max()):
-            break
-    return z
-
-
-# deterministic inverse-iteration seeds; skewed so no symmetry of the
-# matrix can make them orthogonal to an eigenvector by accident
-_SEED_RIGHT = np.array([1.0, 0.7 + 0.2j, -0.4 + 0.9j, 0.3 - 0.6j])
-_SEED_LEFT = np.array([0.9 - 0.1j, -0.5 + 0.8j, 1.0, 0.2 + 0.4j])
-
-
-def _refine_roots(ms: CMatrix, roots: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Two-sided Rayleigh-quotient refinement of polynomial root estimates.
-
-    Simultaneous iteration stalls at eps**(1/m) accuracy on roots of
-    multiplicity m; the Rayleigh quotient through inverse iteration is
-    exact for semisimple eigenvalues of any multiplicity.  Defective
-    directions (left and right vectors orthogonal) are left untouched.
-    """
-    n = ms.shape[0]
-    ident = np.eye(n, dtype=np.complex128)
-    out = roots.copy()
-    for i, z in enumerate(roots):
-        a = ms - z * ident
-        try:
-            v = _SEED_RIGHT[:n]
-            w = _SEED_LEFT[:n]
-            for _ in range(2):
-                v = np.linalg.solve(a, v)
-                v = v / np.linalg.norm(v)
-                w = np.linalg.solve(a.conj().T, w)
-                w = w / np.linalg.norm(w)
-        except np.linalg.LinAlgError:
-            continue
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
-            continue
-        denom = w.conj() @ v
-        if abs(denom) < 1e-8:
-            continue
-        candidate = (w.conj() @ (ms @ v)) / denom
-        if abs(candidate - z) > 1e-2 * (1.0 + abs(z)):
-            continue
-        # near a root of multiplicity m the residual scales like d**m, so a
-        # machine-accurate candidate can look worse than a far stale root;
-        # compare against the evaluation noise floor, not just |p(z)|
-        noise = 16.0 * np.finfo(float).eps * _horner(np.abs(coeffs), abs(candidate))
-        if abs(_horner(coeffs, candidate)) <= max(abs(_horner(coeffs, z)), noise):
-            out[i] = candidate
-    return out
-
-
-def _polish_and_cluster(roots: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Newton-polish simple roots; replace root clusters by their mean."""
-    deriv = coeffs[:-1] * np.arange(len(coeffs) - 1, 0, -1)
-    tol = 1e-7 * max(1.0, np.abs(roots).max())
-    groups: list[list[int]] = []
-    for i, r in enumerate(roots):
-        for g in groups:
-            if abs(roots[g[0]] - r) <= tol:
-                g.append(i)
-                break
-        else:
-            groups.append([i])
-    out = roots.copy()
-    for g in groups:
-        if len(g) == 1:
-            z = roots[g[0]]
-            for _ in range(3):
-                dp = _horner(deriv, z)
-                if dp == 0:
-                    break
-                z = z - _horner(coeffs, z) / dp
-            out[g[0]] = z
-        else:
-            # Newton stalls on multiple roots; the cluster mean cancels the
-            # leading error of the individual approximations
-            out[g] = roots[g].mean()
-    return out
 
 
 def _null_space_vectors(a: CMatrix, count: int) -> tuple[np.ndarray, int]:
@@ -257,10 +142,11 @@ def _null_space_vectors(a: CMatrix, count: int) -> tuple[np.ndarray, int]:
 def eigensystem(m: CMatrix) -> Eigensystem:
     """Eigenvalues and right eigenvectors of a 2x2 or 4x4 complex matrix.
 
-    2x2 matrices use the closed-form quadratic; 4x4 matrices solve the
-    characteristic polynomial with a Durand-Kerner simultaneous
-    iteration, Rayleigh-quotient refinement where roots crowd together,
-    and a final Newton polish.  Results are sorted by real part (ties by
+    LAPACK (``np.linalg.eig``) supplies the eigenpairs.  Eigenvalues
+    within 1e-7 (relative) of each other are reported as one multiple
+    root, their mean, with vectors spanning the numerical null space of
+    ``m - value``; a null space thinner than the multiplicity flags the
+    matrix as defective.  Results are sorted by real part (ties by
     imaginary part) so repeated runs are reproducible.
     """
     m = np.asarray(m, dtype=np.complex128)
@@ -274,41 +160,24 @@ def eigensystem(m: CMatrix) -> Eigensystem:
     if scale == 0.0:
         return Eigensystem(np.zeros(n, dtype=np.complex128), np.eye(n, dtype=np.complex128), False)
 
-    ms = m / scale
-    coeffs = _charpoly(ms)
-    if n == 2:
-        mid = (ms[0, 0] + ms[1, 1]) / 2.0
-        disc = ((ms[0, 0] - ms[1, 1]) / 2.0) ** 2 + ms[0, 1] * ms[1, 0]
-        root = np.sqrt(disc)
-        raw = np.array([mid - root, mid + root])
-    else:
-        raw = _durand_kerner(coeffs)
-        gaps = np.abs(raw[:, None] - raw[None, :]) + np.eye(n)
-        # multiple-root iteration clouds have radius ~eps**(1/4); clearly
-        # separated roots are simple and need no Rayleigh refinement
-        if gaps.min() < 1e-3 * (1.0 + np.abs(raw).max()):
-            raw = _refine_roots(ms, raw, coeffs)
-    values = _polish_and_cluster(raw, coeffs) * scale
+    values, vectors = np.linalg.eig(m)
+    # LAPACK splits a defective multiple root by about sqrt(eps); each
+    # value joins the first value within tol of it
+    tol = 1e-7 * max(1.0, float(np.abs(values).max()))
+    leaders = (np.abs(values[:, None] - values[None, :]) <= tol).argmax(axis=1)
+    degenerate = False
+    for leader in np.flatnonzero(np.bincount(leaders) > 1):
+        members = np.flatnonzero(leaders == leader)
+        # the cluster mean cancels the leading error of the split values
+        root = values[members].mean()
+        vecs, nullity = _null_space_vectors(m - root * np.eye(n), len(members))
+        values[members] = root
+        vectors[:, members] = vecs
+        degenerate = degenerate or nullity < len(members)
     order = np.lexsort((values.imag, values.real))
     values = values[order]
-
-    vectors = np.zeros((n, n), dtype=np.complex128)
-    degenerate = False
-    i = 0
-    vtol = 1e-7 * max(1.0, float(np.abs(values).max()))
-    while i < n:
-        j = i
-        while j < n and abs(values[j] - values[i]) <= vtol:
-            j += 1
-        multiplicity = j - i
-        vecs, nullity = _null_space_vectors(m - values[i] * np.eye(n), multiplicity)
-        if nullity < multiplicity:
-            degenerate = True
-        vectors[:, i:j] = vecs
-        i = j
-    residual = max(
-        float(np.linalg.norm(m @ vectors[:, k] - values[k] * vectors[:, k])) for k in range(n)
-    )
+    vectors = vectors[:, order]
+    residual = float(np.linalg.norm(m @ vectors - vectors * values, axis=0).max())
     if residual > 1e-6 * max(1.0, scale):
         degenerate = True
     return Eigensystem(values, vectors, degenerate)
@@ -503,22 +372,14 @@ def integrate(h: CMatrix, s0: State, grid: TimeGrid, tol: float = 1e-10) -> Traj
 # closed forms on the trapping manifold
 
 
-def _require_trapping(p: Params) -> None:
-    from .analysis import trapping_delta
-
-    target = trapping_delta(p)
-    if abs(p.delta - target) > 1e-9:
-        raise ValueError(
-            f"closed form requires delta at the trapping value {target:.12g}, got {p.delta:.12g}"
-        )
-
-
 def analytic_bright(p: Params, t):
     """Closed-form (b_g, b_e) for b_g(0) = 1; needs delta at trapping.
 
     ``t`` may be a scalar or an array of times in T.
     """
-    _require_trapping(p)
+    from .analysis import _require_trapping
+
+    _require_trapping(p, "closed form")
     gg, ge = p.gamma_g, p.gamma_e
     t = np.asarray(t, dtype=float)
     decay = np.exp(1j * t * (p.q_eg + 1j) * (ge + gg))
@@ -596,18 +457,16 @@ def _initial_state(model: str, init) -> State:
     return State(Basis.TWOLEVEL2, [1.0, 0.0])
 
 
-def evolve(p: Params, model: str, init, grid: TimeGrid, tol: float = 1e-10) -> Trajectory:
+def evolve(p: Params, model: str, init, grid: TimeGrid) -> Trajectory:
     """Build the requested Hamiltonian, map the initial state, propagate.
 
     ``model`` is one of ``MODELS``; ``init`` one of ``INITS`` or a State
     in a basis compatible with the model.  Constant Hamiltonians are
-    propagated exactly via ``propagate_expm``; ``tol`` is accepted for
-    interface symmetry with ``integrate`` but not used here.
+    propagated exactly via ``propagate_expm``.
 
     Four-state trajectories are reported in the bright/dark basis with
     the original-basis evolution attached as ``states_original``.
     """
-    del tol
     h = build_hamiltonian(p, model)
     s0 = _initial_state(model, init)
     traj = propagate_expm(h, s0, grid)

@@ -129,15 +129,16 @@ def block_diagonalize(
     return ht[:2, :2].copy(), ht[2:, 2:].copy(), residual
 
 
-def _bright_dark_map() -> CMatrix:
-    return shift_permutation() @ rotation(CANONICAL_ANGLE)
+# (g1, g2, e1, e2) -> (b_g, b_e, d_g, d_e), built once at import
+_BRIGHT_DARK_MAP = shift_permutation() @ rotation(CANONICAL_ANGLE)
+_BRIGHT_DARK_MAP.setflags(write=False)
 
 
 def to_bright_dark(s: State) -> State:
     """Map an original-basis state to (b_g, b_e, d_g, d_e); norm preserving."""
     if s.basis is not Basis.ORIGINAL4:
         raise ValueError(f"expected a {Basis.ORIGINAL4.value} state, got {s.basis.value}")
-    return State(Basis.BRIGHTDARK4, _bright_dark_map() @ s.amps, s.time)
+    return State(Basis.BRIGHTDARK4, _BRIGHT_DARK_MAP @ s.amps, s.time)
 
 
 def from_bright_dark(s: State) -> State:
@@ -145,4 +146,4 @@ def from_bright_dark(s: State) -> State:
     if s.basis is not Basis.BRIGHTDARK4:
         raise ValueError(f"expected a {Basis.BRIGHTDARK4.value} state, got {s.basis.value}")
     # the map is real orthogonal, so the inverse is the plain transpose
-    return State(Basis.ORIGINAL4, _bright_dark_map().T @ s.amps, s.time)
+    return State(Basis.ORIGINAL4, _BRIGHT_DARK_MAP.T @ s.amps, s.time)

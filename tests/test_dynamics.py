@@ -138,6 +138,24 @@ class TestEigensystem:
                 1.0, np.abs(ref_amp).max()
             )
 
+    def test_model_exceptional_point(self):
+        """gamma_e - gamma_g = 2 q_eg sqrt(gamma_g gamma_e) and delta = 4.75
+        make the bright pair's double root 2 - 2.5i exactly defective."""
+        p_ep = Params(
+            gamma_g=1, gamma_e=4, stark_g=0.5, stark_e=0.25, q_gg=1, q_eg=0.75, q_ee=0.5, delta=4.75
+        )
+        p_near = dataclasses.replace(p_ep, delta=4.75 + 1e-10)
+        grid = TimeGrid(0.0, 6.0, 13)
+        starts = {4: State(Basis.ORIGINAL4, [1, 0, 0, 0]), 2: State(Basis.BRIGHT2, [1, 0])}
+        for p, defective in ((p_ep, True), (p_near, False)):
+            for h in (effective_hamiltonian(p), bright_hamiltonian(p)):
+                assert eigensystem(h).degenerate == defective
+                s0 = starts[h.shape[0]]
+                traj = propagate_expm(h, s0, grid)
+                for t, s in zip(grid.times(), traj.states):
+                    ref = scipy.linalg.expm(-1j * h * t) @ s0.amps
+                    assert np.abs(s.amps - ref).max() < 1e-10
+
     def test_unsupported_shape_rejected(self):
         with pytest.raises(ValueError):
             eigensystem(np.eye(3, dtype=complex))
