@@ -14,7 +14,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import INITS, TimeGrid, _ionization_values, eigenvalues, evolve, integrate
+from .dynamics import (
+    INITS,
+    TimeGrid,
+    _ionization_values,
+    _scan_ionization,
+    eigenvalues,
+    evolve,
+    integrate,
+)
 from .model import Params, bright_hamiltonian, nondegenerate_hamiltonian
 from .transforms import Basis, State
 
@@ -93,8 +101,15 @@ class FanoProfile:
 def fano_scan(p: Params, delta_grid, t_obs: float, init="bright", model: str = "four_state") -> FanoProfile:
     """Ionization at time ``t_obs`` for every detuning in ``delta_grid``.
 
-    Grid points are propagated independently (the scan is trivially
-    parallel); results are reported in grid order.
+    The detuning enters every model only on the excited diagonal, so
+    the scan is one affine stack of Hamiltonians, propagated in blocks
+    of detunings, each through one stacked LAPACK eigen-decomposition.
+    Points where those eigenpairs are not
+    trustworthy (a clustered or defective root, as at an exceptional
+    point, ill-conditioned eigenvectors, or a non-finite result) are
+    propagated one by one by ``propagate_expm``, with its Pade fallback.
+    Results are reported in grid order; a point whose propagation fails
+    raises RuntimeError naming its detuning.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size == 0:
@@ -104,14 +119,7 @@ def fano_scan(p: Params, delta_grid, t_obs: float, init="bright", model: str = "
     if not t_obs > 0:
         raise ValueError(f"t_obs must be positive, got {t_obs}")
 
-    grid = TimeGrid(0.0, float(t_obs), 2)
-    values = np.empty(deltas.size)
-    for i, d in enumerate(deltas):
-        try:
-            traj = evolve(replace(p, delta=float(d)), model, init, grid)
-        except Exception as exc:
-            raise RuntimeError(f"propagation failed at delta = {d:.12g}") from exc
-        values[i] = traj.ionization[-1]
+    values = _scan_ionization(p, model, init, deltas, float(t_obs))
     init_tag = init if isinstance(init, str) else "custom"
     return FanoProfile(deltas, values, float(t_obs), model, init_tag)
 

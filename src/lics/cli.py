@@ -33,7 +33,16 @@ from .analysis import (
     fano_scan,
     trapping_delta,
 )
-from .dynamics import INITS, MODELS, TimeGrid, Trajectory, build_hamiltonian, eigensystem, evolve
+from .dynamics import (
+    _MAX_GRID_POINTS,
+    INITS,
+    MODELS,
+    TimeGrid,
+    Trajectory,
+    build_hamiltonian,
+    eigensystem,
+    evolve,
+)
 from .model import Params
 from .transforms import Basis
 
@@ -145,6 +154,10 @@ def parse_config(text: str) -> RunConfig:
                 delta_is_trap = False
         elif key in _INT_KEYS:
             values[key] = _parse_number(raw, lineno, key, want_int=True)
+            if values[key] > _MAX_GRID_POINTS:
+                raise ConfigError(
+                    f"line {lineno}: value for {key!r} must be at most {_MAX_GRID_POINTS}, got {raw!r}"
+                )
         elif key in _BOOL_KEYS:
             word = raw.lower()
             if word in _TRUE_WORDS:
@@ -411,8 +424,8 @@ def _svg_path(out: str) -> Path:
 
 def _resolve_delta_grid(cfg: RunConfig) -> np.ndarray:
     steps = cfg.delta_steps if cfg.delta_steps is not None else 2001
-    if steps < 2:
-        raise ConfigError(f"delta_steps must be >= 2, got {steps}")
+    if not 2 <= steps <= _MAX_GRID_POINTS:
+        raise ConfigError(f"delta_steps must lie in [2, {_MAX_GRID_POINTS}], got {steps}")
     if cfg.delta_min is None and cfg.delta_max is None:
         return default_delta_grid(cfg.params, n=steps)
     lo = cfg.delta_min if cfg.delta_min is not None else -10.0
@@ -443,7 +456,8 @@ def run(cfg: RunConfig) -> int:
             lines = ["index,re_lambda,im_lambda"]
             lines += [f"{i},{_FMT(v.real)},{_FMT(v.imag)}" for i, v in enumerate(es.values)]
             Path(cfg.out).write_text("\n".join(lines) + "\n", newline="\n")
-        shown = ", ".join(f"{v.real:.6f}{v.imag:+.6f}i" for v in es.values)
+        # + 0.0 turns a negative zero from rounding into +0.000000
+        shown = ", ".join(f"{v.real:.6f}{round(v.imag, 6) + 0.0:+.6f}i" for v in es.values)
         print(f"eigenvalues ({cfg.model}): {shown}")
         return 0
 

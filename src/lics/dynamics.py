@@ -5,7 +5,9 @@ i dc/dt = H c:
 
 * ``propagate_expm``: exact exponential through an eigen-decomposition
   whose eigenpairs come from LAPACK, with a scaling-and-squaring Pade
-  fallback for defective or ill-conditioned cases;
+  fallback for defective or ill-conditioned cases (``_scan_ionization``
+  runs the same method over a whole detuning scan, a block of stacked
+  matrices per LAPACK call);
 * ``integrate``: an embedded Dormand-Prince 5(4) Runge-Kutta solver with
   PI step control and dense output;
 * ``analytic_bright`` / ``analytic_g1``: closed-form amplitudes, valid
@@ -18,7 +20,7 @@ package, so they share no propagation code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,6 +57,19 @@ INITS = ("bright", "g1", "g2")
 # eigenvector matrices worse conditioned than this are not trusted for
 # propagation and trigger the Pade fallback
 _EXPM_COND_LIMIT = 1e8
+# eigenvalues within this of each other, relative to max(1, |lambda|max),
+# are one multiple root
+_CLUSTER_TOL = 1e-7
+# an eigen-residual above this, relative to max(1, max |entry|), marks the
+# eigenpairs as untrustworthy
+_RESIDUAL_TOL = 1e-6
+# largest n_samples of a TimeGrid and delta_steps of a scan; 10**6 float64
+# samples are 8 MB, and every grid point costs a propagation
+_MAX_GRID_POINTS = 10**6
+# detunings per stacked LAPACK call in _scan_ionization: a block's
+# temporaries take about 1.4 KB per detuning, and each block costs about
+# 90 us of Python overhead on top of its eigen-decompositions
+_SCAN_BLOCK = 32
 
 
 class IntegrationError(RuntimeError):
@@ -80,6 +95,8 @@ class TimeGrid:
             raise ValueError(f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]")
         if int(self.n_samples) != self.n_samples or self.n_samples < 2:
             raise ValueError(f"n_samples must be an integer >= 2, got {self.n_samples}")
+        if self.n_samples > _MAX_GRID_POINTS:
+            raise ValueError(f"n_samples must be at most {_MAX_GRID_POINTS}, got {self.n_samples}")
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_samples)
@@ -163,7 +180,7 @@ def eigensystem(m: CMatrix) -> Eigensystem:
     values, vectors = np.linalg.eig(m)
     # LAPACK splits a defective multiple root by about sqrt(eps); each
     # value joins the first value within tol of it
-    tol = 1e-7 * max(1.0, float(np.abs(values).max()))
+    tol = _CLUSTER_TOL * max(1.0, float(np.abs(values).max()))
     leaders = (np.abs(values[:, None] - values[None, :]) <= tol).argmax(axis=1)
     degenerate = False
     for leader in np.flatnonzero(np.bincount(leaders) > 1):
@@ -178,7 +195,7 @@ def eigensystem(m: CMatrix) -> Eigensystem:
     values = values[order]
     vectors = vectors[:, order]
     residual = float(np.linalg.norm(m @ vectors - vectors * values, axis=0).max())
-    if residual > 1e-6 * max(1.0, scale):
+    if residual > _RESIDUAL_TOL * max(1.0, scale):
         degenerate = True
     return Eigensystem(values, vectors, degenerate)
 
@@ -239,6 +256,83 @@ def propagate_expm(h: CMatrix, s0: State, grid: TimeGrid) -> Trajectory:
     times = grid.times()
     states = [State(s0.basis, amp_matrix[k], times[k]) for k in range(len(times))]
     return Trajectory(grid, states, _ionization_values(amp_matrix))
+
+
+def _detuning_stack(h0: CMatrix, deltas: np.ndarray) -> np.ndarray:
+    """``h0 + delta * E`` for every delta, where E is 1 on the excited
+    diagonal entries (the second half of the basis) and 0 elsewhere.
+
+    Every builder in ``model`` puts the detuning there and nowhere else,
+    so with ``h0`` built at delta = 0 each slice is the builder's matrix
+    at that detuning, to roundoff.
+    """
+    n = h0.shape[0]
+    # a float mask: a bool one adds a cast that touches 64 KB of numpy
+    # code no other path uses, which shows in the peak RSS
+    return h0 + deltas[:, None, None] * np.diag(np.repeat([0.0, 1.0], n // 2))
+
+
+def _propagate_block(stack: np.ndarray, amps0: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ionization of exp(-i h t) amps0 for every h in ``stack``, from one
+    stacked eigen-decomposition, and a mask of the points it can be
+    trusted on.
+
+    A point is trusted only if its eigenvalues are separated by more
+    than the cluster tolerance of ``eigensystem``, its eigen-residual
+    passes the same check, its eigenvector condition number is within
+    ``_EXPM_COND_LIMIT`` and its result is finite.  If LAPACK fails on
+    the stack, no point is trusted.
+    """
+    count, n, _ = stack.shape
+    try:
+        values, vectors = np.linalg.eig(stack)
+        coeffs = np.linalg.solve(vectors, np.broadcast_to(amps0, (count, n))[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.zeros(count), np.zeros(count, dtype=bool)
+    # overflow and NaN are caught by the mask, not reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = (vectors @ (np.exp(-1j * t * values) * coeffs)[..., None])[..., 0]
+        ion = _ionization_values(amps)
+        gaps = np.abs(values[:, :, None] - values[:, None, :]) + np.diag(np.full(n, np.inf))
+        separated = gaps.min(axis=(1, 2)) > _CLUSTER_TOL * np.maximum(1.0, np.abs(values).max(axis=1))
+        residual = np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=1).max(axis=1)
+        scale = np.abs(stack).max(axis=(1, 2))
+        trusted = (
+            separated
+            & (residual <= _RESIDUAL_TOL * np.maximum(1.0, scale))
+            & (np.linalg.cond(vectors) <= _EXPM_COND_LIMIT)
+            & np.isfinite(ion)
+        )
+    return ion, trusted
+
+
+def _scan_ionization(p: Params, model: str, init, deltas: np.ndarray, t_obs: float) -> np.ndarray:
+    """Ionization at ``t_obs`` for every detuning in ``deltas``.
+
+    The detunings are propagated ``_SCAN_BLOCK`` at a time, each block
+    through one stacked eigen-decomposition of ``_detuning_stack``.  A
+    point the block does not trust is propagated alone by
+    ``propagate_expm`` on the builder's matrix, exactly as ``evolve``
+    would propagate it, so clustered roots and exceptional points keep
+    the cluster pass and the Pade fallback.  Raises RuntimeError naming
+    the detuning if that propagation fails.
+    """
+    s0 = _initial_state(model, init)
+    h0 = build_hamiltonian(replace(p, delta=0.0), model)
+    grid = TimeGrid(0.0, t_obs, 2)
+    values = np.empty(deltas.size)
+    for start in range(0, deltas.size, _SCAN_BLOCK):
+        block = deltas[start : start + _SCAN_BLOCK]
+        ion, trusted = _propagate_block(_detuning_stack(h0, block), s0.amps, t_obs)
+        values[start : start + block.size] = ion
+        for k in np.flatnonzero(~trusted):
+            d = float(block[k])
+            try:
+                traj = propagate_expm(build_hamiltonian(replace(p, delta=d), model), s0, grid)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                raise RuntimeError(f"propagation failed at delta = {d:.12g}") from exc
+            values[start + k] = traj.ionization[-1]
+    return values
 
 
 # ---------------------------------------------------------------------------

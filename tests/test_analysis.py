@@ -2,14 +2,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_random_params
+from conftest import STRONG, make_random_params, params_strategy
 from lics import (
+    INITS,
+    MODELS,
     Basis,
     Params,
     State,
     TimeGrid,
     asymptotic_survival,
+    build_hamiltonian,
     default_delta_grid,
     degeneracy_validity,
     effective_hamiltonian,
@@ -17,9 +23,16 @@ from lics import (
     fano_scan,
     integrate,
     ionization,
+    propagate_expm,
     trapping_delta,
     trapping_residual,
 )
+from lics import dynamics
+from lics.dynamics import _detuning_stack
+
+# gamma_e - gamma_g = 2 q_eg sqrt(gamma_g gamma_e): at delta = 4.75 the
+# bright pair has a defective double root (an exceptional point)
+EXCEPTIONAL = dict(gamma_g=1, gamma_e=4, stark_g=0.5, stark_e=0.25, q_gg=1, q_eg=0.75, q_ee=0.5)
 
 
 def _at_trap(p: Params) -> Params:
@@ -153,6 +166,81 @@ class TestFanoScan:
         assert profile.observation_time == 2.0
         assert profile.model == "four_state"
         assert profile.init == "g1"
+
+
+class TestScanKernel:
+    """The blocked eigen kernel behind ``fano_scan`` against per-point
+    propagation and an independent matrix exponential."""
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_affine_stack_equals_the_builders(self, model):
+        p = Params(**STRONG, shift_g=0.2, shift_e=0.35)
+        deltas = np.concatenate([np.linspace(-20.0, 20.0, 41), [0.809, 1e-9, 123.456]])
+        h0 = build_hamiltonian(dataclasses.replace(p, delta=0.0), model)
+        stack = _detuning_stack(h0, deltas)
+        for d, h in zip(deltas, stack):
+            ref = build_hamiltonian(dataclasses.replace(p, delta=float(d)), model)
+            assert np.abs(h - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=params_strategy,
+        model=st.sampled_from(MODELS),
+        init=st.sampled_from(INITS),
+        t_obs=st.floats(min_value=0.1, max_value=6.0),
+    )
+    def test_matches_per_point_evolve(self, p, model, init, t_obs):
+        deltas = np.linspace(-12.0, 12.0, 49)
+        profile = fano_scan(p, deltas, t_obs, init, model)
+        grid = TimeGrid(0.0, t_obs, 2)
+        ref = [
+            evolve(dataclasses.replace(p, delta=float(d)), model, init, grid).ionization[-1]
+            for d in deltas
+        ]
+        np.testing.assert_allclose(profile.ionization, ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "model,s0",
+        [
+            ("four_state", State(Basis.ORIGINAL4, [1.0, 0.0, 0.0, 0.0])),
+            ("bright2", State(Basis.BRIGHT2, [1.0, 0.0])),
+        ],
+    )
+    def test_exceptional_point_takes_the_per_point_route(self, model, s0, monkeypatch):
+        p = Params(**EXCEPTIONAL)
+        deltas = np.linspace(-5.25, 14.75, 2001)  # step 0.01, several blocks
+        k = int(np.flatnonzero(deltas == 4.75)[0])
+        fallbacks = []
+        per_point = dynamics.propagate_expm
+
+        def spy(h, start, grid):
+            fallbacks.append(h)
+            return per_point(h, start, grid)
+
+        monkeypatch.setattr(dynamics, "propagate_expm", spy)
+        profile = fano_scan(p, deltas, 6.0, s0, model)
+        monkeypatch.undo()
+
+        h_ep = build_hamiltonian(dataclasses.replace(p, delta=4.75), model)
+        assert any(np.array_equal(h, h_ep) for h in fallbacks)
+        assert len(fallbacks) < 10
+        expected = propagate_expm(h_ep, s0, TimeGrid(0.0, 6.0, 2)).ionization[-1]
+        assert profile.ionization[k] == expected
+        for d, ion in zip(deltas, profile.ionization):
+            h = build_hamiltonian(dataclasses.replace(p, delta=float(d)), model)
+            amps = scipy.linalg.expm(-6j * h) @ s0.amps
+            assert abs(ion - (1.0 - np.vdot(amps, amps).real)) < 1e-10
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failure_names_the_detuning(self, strong_params):
+        with pytest.raises(RuntimeError, match=r"delta = 1e\+154") as info:
+            fano_scan(strong_params, [0.0, 1e154], 6.0)
+        assert isinstance(info.value.__cause__, ValueError)
+        with pytest.raises(RuntimeError, match=r"delta = -?1e\+308"):
+            fano_scan(strong_params, [-1e308, 1e308], 6.0)
+        # eigenpairs that pass every check but overflow the amplitudes
+        with pytest.raises(RuntimeError, match=r"delta = 1e\+22"):
+            fano_scan(strong_params, [0.0, 1e22], 6.0, "bright", "bright2")
 
 
 class TestDefaultDeltaGrid:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -75,6 +76,12 @@ class TestParseConfig:
             parse_config("gamma_g = 1\ngamma_e = 2\ncommand = trap\nmodel = septet\n")
         with pytest.raises(ConfigError, match="init"):
             parse_config("gamma_g = 1\ngamma_e = 2\ncommand = trap\ninit = g7\n")
+
+    @pytest.mark.parametrize("key", ["n_samples", "delta_steps"])
+    def test_grid_sizes_are_capped(self, key):
+        assert getattr(parse_config(_cfg_text("fano", **{key: 1000000})), key) == 10**6
+        with pytest.raises(ConfigError, match=f"line 9.*{key}.*at most 1000000"):
+            parse_config(_cfg_text("fano", **{key: 1000000000}))
 
     def test_bool_parsing(self):
         assert parse_config(_cfg_text("trap", plot="true")).plot is True
@@ -241,6 +248,34 @@ class TestRun:
         cfg = parse_config(_cfg_text("eigen", model="bright2", delta="trap"))
         assert run(cfg) == 0
         assert "eigenvalues" in capsys.readouterr().out
+
+    def test_eigen_summary_prints_no_negative_zero(self, capsys):
+        cfg = parse_config(_cfg_text("eigen", model="four_state", delta="trap"))
+        assert run(cfg) == 0
+        out = capsys.readouterr().out
+        assert "12.875000+0.000000i" in out
+        assert "-0.000000i" not in out
+
+    @pytest.mark.parametrize(
+        "command,sizes,error",
+        [
+            ("evolve", dict(n_samples=10**9), ValueError),
+            ("fano", dict(delta_steps=10**9), ConfigError),
+            ("nondeg", dict(n_samples=10**9), ValueError),
+            ("nondeg", dict(delta_steps=10**9), ConfigError),
+        ],
+    )
+    def test_oversized_grids_fail_before_allocating(self, tmp_path, command, sizes, error):
+        cfg = RunConfig(params=Params(**STRONG), command=command, out=str(tmp_path / "x.csv"), **sizes)
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=next(iter(sizes))):
+                run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+        assert not (tmp_path / "x.csv").exists()
 
     def test_nondeg_writes_comparison(self, tmp_path, capsys):
         out = tmp_path / "cmp.csv"

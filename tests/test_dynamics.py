@@ -51,6 +51,13 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, float("inf"), 10)
 
+    def test_sample_cap(self):
+        assert TimeGrid(0.0, 1.0, 10**6).n_samples == 10**6
+        with pytest.raises(ValueError, match="n_samples must be at most 1000000"):
+            TimeGrid(0.0, 1.0, 10**6 + 1)
+        with pytest.raises(ValueError, match="n_samples"):
+            TimeGrid(0.0, 1.0, 10**9)
+
 
 class TestEigensystem:
     def test_diagonal(self):
