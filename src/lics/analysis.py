@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
+    _MAX_GRID_POINTS,
     INITS,
     TimeGrid,
     _ionization_values,
@@ -114,7 +115,9 @@ def fano_scan(p: Params, delta_grid, t_obs: float, init="bright", model: str = "
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size == 0:
         raise ValueError("delta grid must not be empty")
-    if deltas.size > 1 and not np.all(np.diff(deltas) > 0):
+    if deltas.size > _MAX_GRID_POINTS:
+        raise ValueError(f"delta grid must hold at most {_MAX_GRID_POINTS} points, got {deltas.size}")
+    if not np.all(deltas[1:] > deltas[:-1]):
         raise ValueError("delta grid must be strictly increasing")
     if not t_obs > 0:
         raise ValueError(f"t_obs must be positive, got {t_obs}")
@@ -126,6 +129,8 @@ def fano_scan(p: Params, delta_grid, t_obs: float, init="bright", model: str = "
 
 def default_delta_grid(p: Params, lo: float = -10.0, hi: float = 10.0, n: int = 2001) -> np.ndarray:
     """Scan window [lo, hi], widened if needed to bracket the trapping value."""
+    if n > _MAX_GRID_POINTS:
+        raise ValueError(f"n must be at most {_MAX_GRID_POINTS}, got {n}")
     trap = trapping_delta(p)
     lo = min(lo, trap - 1.0)
     hi = max(hi, trap + 1.0)
@@ -187,7 +192,6 @@ def degeneracy_validity(p: Params, shifts, grid: TimeGrid, delta_grid, tol: floa
 
     p_deg = replace(p, shift_g=0.0, shift_e=0.0)
     deg_traj = evolve(p_deg, "four_state", "g1", grid)
-    deg_amps = np.array([s.amps for s in deg_traj.states_original])
     deg_profile = fano_scan(p_deg, deltas, grid.t_end, "g1", "four_state")
 
     g1_state = State(Basis.ORIGINAL4, [1.0, 0.0, 0.0, 0.0])
@@ -198,8 +202,7 @@ def degeneracy_validity(p: Params, shifts, grid: TimeGrid, delta_grid, tol: floa
     for shift in shifts:
         p_nd = replace(p, shift_g=shift, shift_e=shift)
         traj = integrate(nondegenerate_hamiltonian(p_nd), g1_state, grid, tol)
-        amps = traj.amplitudes()
-        sup_diffs.append(float(np.abs(amps - deg_amps).max()))
+        sup_diffs.append(float(np.abs(traj.amps - deg_traj.amps_original).max()))
         ion_shifted.append(traj.ionization)
         profile = fano_scan(p_nd, deltas, grid.t_end, "g1", "nondegenerate4")
         profiles.append(profile.ionization)

@@ -22,7 +22,6 @@ import argparse
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .dynamics import (
     evolve,
 )
 from .model import Params
-from .transforms import Basis
 
 __all__ = [
     "ConfigError",
@@ -245,44 +243,39 @@ TRAJECTORY_HEADER = (
 )
 PROFILE_HEADER = "delta,ionization"
 
-# 17 significant digits: parsing the text recovers the exact double
-_FMT = "{:.17g}".format
+# rows per formatted block: the text of a whole trajectory takes far more memory than its numbers
+_CSV_BLOCK = 4096
 
 
-def _trajectory_rows(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Times and bright/dark amplitude columns; 2-state models fill
-    the dark columns with zeros."""
-    amps = traj.amplitudes()
-    if amps.shape[1] == 2:
-        amps = np.hstack([amps, np.zeros_like(amps)])
-    return traj.times, amps
+def _write_rows(path, header: str, table: np.ndarray) -> None:
+    """Write ``header`` and the rows of a 2-D float table, 17 significant
+    digits per cell so that parsing the text recovers the exact double."""
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", newline="\n") as f:
+        f.write(header + "\n")
+        for start in range(0, len(table), _CSV_BLOCK):
+            f.write("".join(map(line.__mod__, map(tuple, table[start : start + _CSV_BLOCK].tolist()))))
 
 
 def write_csv(data: Trajectory | FanoProfile, path) -> None:
-    """Write a trajectory or detuning profile as CSV (LF newlines)."""
-    lines: list[str] = []
+    """Write a trajectory or detuning profile as CSV (LF newlines), streamed
+    in blocks of rows.  A trajectory row holds the time, the real and
+    imaginary parts of ``data.amps`` (2-state models fill the dark
+    columns with zeros), the populations and the ionization."""
     if isinstance(data, Trajectory):
-        if not data.states:
-            raise ValueError("cannot write an empty trajectory")
-        times, amps = _trajectory_rows(data)
-        lines.append(TRAJECTORY_HEADER)
-        for k, t in enumerate(times):
-            cells = [_FMT(t)]
-            for a in amps[k]:
-                cells.append(_FMT(a.real))
-                cells.append(_FMT(a.imag))
-            cells.extend(_FMT(abs(a) ** 2) for a in amps[k])
-            cells.append(_FMT(data.ionization[k]))
-            lines.append(",".join(cells))
+        amps = np.ascontiguousarray(data.amps)
+        if amps.shape[1] == 2:
+            amps = np.hstack([amps, np.zeros_like(amps)])
+        # Python's abs and libm's pow keep the digits stable: np.abs and x * x differ in the last bit
+        pops = np.float_power(np.fromiter(map(abs, amps.ravel().tolist()), float), 2.0).reshape(amps.shape)
+        table = np.column_stack([data.times, amps.view(np.float64), pops, data.ionization])
+        _write_rows(path, TRAJECTORY_HEADER, table)
     elif isinstance(data, FanoProfile):
         if data.deltas.size == 0:
             raise ValueError("cannot write an empty profile")
-        lines.append(PROFILE_HEADER)
-        for d, ion in zip(data.deltas, data.ionization):
-            lines.append(f"{_FMT(d)},{_FMT(ion)}")
+        _write_rows(path, PROFILE_HEADER, np.column_stack([data.deltas, data.ionization]))
     else:
         raise TypeError(f"cannot write {type(data).__name__} as CSV")
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +284,10 @@ def write_csv(data: Trajectory | FanoProfile, path) -> None:
 _PALETTE = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b")
 _WIDTH, _HEIGHT = 760, 480
 _ML, _MR, _MT, _MB = 64, 168, 28, 48
+
+
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -357,13 +354,16 @@ def _svg_line_plot(path, x: np.ndarray, series: list[tuple[str, np.ndarray]], xl
         )
     parts.append(
         f'<text x="{_ML + plot_w / 2:.2f}" y="{_HEIGHT - 12}" font-size="12" '
-        f'text-anchor="middle" font-family="sans-serif">{escape(xlabel)}</text>'
+        f'text-anchor="middle" font-family="sans-serif">{_escape(xlabel)}</text>'
     )
 
+    # px and py work elementwise on arrays, with the same operations as on a float
+    xs = px(np.asarray(x, dtype=float)).tolist()
     for idx, (name, y) in enumerate(series):
         color = "#444444" if name == "ionization" else _PALETTE[idx % len(_PALETTE)]
         dash = ' stroke-dasharray="6 4"' if name == "ionization" else ""
-        pts = " ".join(f"{px(float(xv)):.2f},{py(float(yv)):.2f}" for xv, yv in zip(x, y))
+        ys = py(np.asarray(y, dtype=float)).tolist()
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.6"{dash} points="{pts}"/>'
         )
@@ -375,35 +375,22 @@ def _svg_line_plot(path, x: np.ndarray, series: list[tuple[str, np.ndarray]], xl
         )
         parts.append(
             f'<text x="{lx + 28}" y="{ly}" font-size="12" '
-            f'font-family="sans-serif">{escape(name)}</text>'
+            f'font-family="sans-serif">{_escape(name)}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", newline="\n")
 
 
-_POP_NAMES = {
-    Basis.BRIGHTDARK4: ("pop_bg", "pop_be", "pop_dg", "pop_de"),
-    Basis.BRIGHT2: ("pop_bg", "pop_be"),
-    Basis.TWOLEVEL2: ("pop_g", "pop_e"),
-    Basis.ORIGINAL4: ("pop_g1", "pop_g2", "pop_e1", "pop_e2"),
-}
-
-
 def render_svg(data: Trajectory | FanoProfile, path) -> None:
     """Render a self-contained SVG line plot of a trajectory or profile.
 
-    Trajectories get one polyline per population series that is ever
-    nonzero, plus the ionization; profiles get the ionization versus
-    detuning.
+    Trajectories get one polyline per column of ``data.amps`` whose
+    population is ever nonzero, named after ``data.basis``, plus the
+    ionization; profiles get the ionization versus detuning.
     """
     if isinstance(data, Trajectory):
-        if not data.states:
-            raise ValueError("cannot plot an empty trajectory")
-        pops = np.abs(data.amplitudes()) ** 2
-        names = _POP_NAMES[data.states[0].basis]
-        series = [
-            (name, pops[:, i]) for i, name in enumerate(names) if pops[:, i].max() > 1e-12
-        ]
+        pops = np.abs(data.amps) ** 2
+        series = [(f"pop_{b}", pop) for b, pop in zip(data.basis.labels, pops.T) if pop.max() > 1e-12]
         series.append(("ionization", data.ionization))
         _svg_line_plot(path, data.times, series, "t / T")
     elif isinstance(data, FanoProfile):
@@ -446,16 +433,15 @@ def run(cfg: RunConfig) -> int:
     if cfg.command == "trap":
         value = trapping_delta(cfg.params)
         if cfg.out is not None:
-            Path(cfg.out).write_text(f"trapping_delta\n{_FMT(value)}\n", newline="\n")
+            _write_rows(cfg.out, "trapping_delta", np.array([[value]]))
         print(f"trapping delta = {value:.6f}")
         return 0
 
     if cfg.command == "eigen":
         es = eigensystem(build_hamiltonian(cfg.params, cfg.model))
         if cfg.out is not None:
-            lines = ["index,re_lambda,im_lambda"]
-            lines += [f"{i},{_FMT(v.real)},{_FMT(v.imag)}" for i, v in enumerate(es.values)]
-            Path(cfg.out).write_text("\n".join(lines) + "\n", newline="\n")
+            table = np.column_stack([np.arange(len(es.values)), es.values.real, es.values.imag])
+            _write_rows(cfg.out, "index,re_lambda,im_lambda", table)
         # + 0.0 turns a negative zero from rounding into +0.000000
         shown = ", ".join(f"{v.real:.6f}{round(v.imag, 6) + 0.0:+.6f}i" for v in es.values)
         print(f"eigenvalues ({cfg.model}): {shown}")
@@ -497,12 +483,8 @@ def run(cfg: RunConfig) -> int:
     shift = cfg.params.shift_g
     grid = TimeGrid(cfg.t_start, cfg.t_end, cfg.n_samples)
     report = degeneracy_validity(cfg.params, [shift], grid, _resolve_delta_grid(cfg), cfg.tol)
-    lines = ["t,ionization_degenerate,ionization_shifted"]
-    for k, t in enumerate(report.times):
-        lines.append(
-            f"{_FMT(t)},{_FMT(report.ionization_degenerate[k])},{_FMT(report.ionization_shifted[0][k])}"
-        )
-    Path(out).write_text("\n".join(lines) + "\n", newline="\n")
+    table = np.column_stack([report.times, report.ionization_degenerate, report.ionization_shifted[0]])
+    _write_rows(out, "t,ionization_degenerate,ionization_shifted", table)
     if cfg.plot:
         _svg_line_plot(
             _svg_path(out),

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .model import (
     nondegenerate_hamiltonian,
     two_level_hamiltonian,
 )
-from .transforms import Basis, State, from_bright_dark, to_bright_dark
+from .transforms import _BRIGHT_DARK_MAP, Basis, State, from_bright_dark
 
 __all__ = [
     "TimeGrid",
@@ -104,26 +105,39 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """Propagation result: states on the grid plus the ionization record.
-
-    ``ionization[i]`` is 1 - |states[i]|^2, clamped of tiny negative
-    roundoff.  For four-state models ``states`` is reported in the
-    bright/dark basis and ``states_original`` carries the same evolution
-    in the (g1, g2, e1, e2) basis.
+    """Propagation result: (n_samples, dim) complex amplitudes ``amps`` in
+    ``basis`` and ``ionization[i]`` = 1 - |amps[i]|^2, clamped of tiny
+    negative roundoff.  Four-state models report ``amps`` in the bright/dark
+    basis and the (g1, g2, e1, e2) evolution as ``amps_original``; ``states``
+    and ``states_original`` build their State objects on first access.
     """
 
     grid: TimeGrid
-    states: list[State]
+    basis: Basis
+    amps: np.ndarray
     ionization: np.ndarray
-    states_original: list[State] | None = None
+    amps_original: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        shape = (self.grid.n_samples, self.basis.dim)
+        if self.amps.shape != shape:
+            raise ValueError(f"amps must have shape {shape}, got {self.amps.shape}")
+        if not np.isfinite(self.amps).all():
+            raise ValueError("amplitudes must be finite")
 
     @property
     def times(self) -> np.ndarray:
         return self.grid.times()
 
-    def amplitudes(self) -> np.ndarray:
-        """Stack the state amplitudes into an (n_samples, dim) array."""
-        return np.array([s.amps for s in self.states])
+    @cached_property
+    def states(self) -> list[State]:
+        return [State(self.basis, a, t) for a, t in zip(self.amps, self.times)]
+
+    @cached_property
+    def states_original(self) -> list[State] | None:
+        if self.amps_original is None:
+            return None
+        return [State(Basis.ORIGINAL4, a, t) for a, t in zip(self.amps_original, self.times)]
 
 
 @dataclass(frozen=True)
@@ -237,7 +251,8 @@ def propagate_expm(h: CMatrix, s0: State, grid: TimeGrid) -> Trajectory:
 
     Uses the eigen-decomposition of h; if the eigenvector matrix is
     defective or has condition number above 1e8, each grid point falls
-    back to a scaling-and-squaring Pade exponential.
+    back to a scaling-and-squaring Pade exponential.  Raises ValueError
+    if an amplitude is not finite, e.g. after an overflow.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.shape != (s0.basis.dim, s0.basis.dim):
@@ -246,16 +261,15 @@ def propagate_expm(h: CMatrix, s0: State, grid: TimeGrid) -> Trajectory:
 
     es = eigensystem(h)
     use_eigen = not es.degenerate and np.linalg.cond(es.vectors) <= _EXPM_COND_LIMIT
-    if use_eigen:
-        coeffs = np.linalg.solve(es.vectors, s0.amps)
-        phases = np.exp(-1j * np.outer(rel_times, es.values))
-        amp_matrix = (phases * coeffs) @ es.vectors.T
-    else:
-        amp_matrix = np.array([_expm_pade(-1j * h * t) @ s0.amps for t in rel_times])
-
-    times = grid.times()
-    states = [State(s0.basis, amp_matrix[k], times[k]) for k in range(len(times))]
-    return Trajectory(grid, states, _ionization_values(amp_matrix))
+    # overflow and NaN are reported once, by the finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        if use_eigen:
+            coeffs = np.linalg.solve(es.vectors, s0.amps)
+            phases = np.exp(-1j * np.outer(rel_times, es.values))
+            amps = (phases * coeffs) @ es.vectors.T
+        else:
+            amps = np.array([_expm_pade(-1j * h * t) @ s0.amps for t in rel_times])
+    return Trajectory(grid, s0.basis, amps, _ionization_values(amps))
 
 
 def _detuning_stack(h0: CMatrix, deltas: np.ndarray) -> np.ndarray:
@@ -458,8 +472,7 @@ def integrate(h: CMatrix, s0: State, grid: TimeGrid, tol: float = 1e-10) -> Traj
         else:
             step *= min(1.0, max(_MIN_FACTOR, _SAFETY * err**-0.2))
 
-    states = [State(s0.basis, amp_out[i], out_times[i]) for i in range(len(out_times))]
-    return Trajectory(grid, states, _ionization_values(amp_out))
+    return Trajectory(grid, s0.basis, amp_out, _ionization_values(amp_out))
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +571,15 @@ def evolve(p: Params, model: str, init, grid: TimeGrid) -> Trajectory:
     in a basis compatible with the model.  Constant Hamiltonians are
     propagated exactly via ``propagate_expm``.
 
-    Four-state trajectories are reported in the bright/dark basis with
-    the original-basis evolution attached as ``states_original``.
+    Four-state trajectories are reported in the bright/dark basis, mapped
+    by one stacked product over all samples, with the original-basis
+    amplitudes attached as ``amps_original``.
     """
     h = build_hamiltonian(p, model)
     s0 = _initial_state(model, init)
     traj = propagate_expm(h, s0, grid)
     if model in ("four_state", "nondegenerate4"):
-        bd_states = [to_bright_dark(s) for s in traj.states]
-        return Trajectory(grid, bd_states, traj.ionization, states_original=traj.states)
+        # stacked products are bit-identical to a per-row map; amps @ M.T is not
+        bright_dark = (_BRIGHT_DARK_MAP @ traj.amps[:, :, None])[..., 0]
+        return Trajectory(grid, Basis.BRIGHTDARK4, bright_dark, traj.ionization, amps_original=traj.amps)
     return traj

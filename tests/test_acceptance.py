@@ -96,7 +96,7 @@ def test_criterion_3_bright_start_reproduction():
 
         bg, be = analytic_bright(p, grid.times())
         closed = np.stack([bg, be], axis=1)
-        via_expm = traj.amplitudes()[:, :2]
+        via_expm = traj.amps[:, :2]
         s0 = State(Basis.ORIGINAL4, [2**-0.5, 2**-0.5, 0.0, 0.0])
         rk = integrate(effective_hamiltonian(p), s0, grid, 1e-11)
         via_rk = np.array([to_bright_dark(s).amps[:2] for s in rk.states])
@@ -111,7 +111,7 @@ def test_criterion_4_single_ground_start_reproduction():
     with _Criterion("4 single-ground-start trajectory"):
         p = Params(**STRONG, delta=0.809)
         traj = evolve(p, "four_state", "g1", TimeGrid(0.0, 6.0, 601))
-        dark_population = np.abs(traj.amplitudes()[:, 2]) ** 2
+        dark_population = np.abs(traj.amps[:, 2]) ** 2
         assert np.abs(dark_population - 0.5).max() < 1e-10
         assert traj.ionization[-1] == pytest.approx(0.1507675, abs=1e-6)
 

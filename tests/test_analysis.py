@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,11 @@ class TestFanoScan:
         with pytest.raises(ValueError):
             fano_scan(strong_params, [0.0, 1.0], -1.0)
 
+    def test_grid_size_is_capped(self, strong_params):
+        # the cap is checked before the grid is read, so zeros cost nothing
+        with pytest.raises(ValueError, match="at most 1000000 points, got 1000001"):
+            fano_scan(strong_params, np.zeros(10**6 + 1), 6.0)
+
     def test_bright_profile_dip_location(self, strong_params):
         """At a finite observation time the profile minimum sits below the
         trapping detuning; the dip drifts onto it only as t_obs grows."""
@@ -242,6 +248,14 @@ class TestScanKernel:
         with pytest.raises(RuntimeError, match=r"delta = 1e\+22"):
             fano_scan(strong_params, [0.0, 1e22], 6.0, "bright", "bright2")
 
+    def test_overflow_fails_without_warnings(self, strong_params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=r"delta = 1e\+154") as info:
+                fano_scan(strong_params, [0.0, 1e154], 6.0)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value.__cause__) == "amplitudes must be finite"
+
 
 class TestDefaultDeltaGrid:
     def test_plain_window(self, strong_params):
@@ -254,6 +268,11 @@ class TestDefaultDeltaGrid:
         assert trap > 10.0
         grid = default_delta_grid(p)
         assert grid[0] < trap < grid[-1]
+
+    def test_size_is_capped(self, strong_params):
+        assert default_delta_grid(strong_params, n=10**6).size == 10**6
+        with pytest.raises(ValueError, match="n must be at most 1000000"):
+            default_delta_grid(strong_params, n=10**6 + 1)
 
 
 class TestAsymptoticSurvival:

@@ -1,13 +1,15 @@
 import dataclasses
 import tracemalloc
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
 
 from conftest import STRONG
-from lics import FanoProfile, Params, TimeGrid, evolve, trapping_delta
+from lics import Basis, FanoProfile, Params, TimeGrid, Trajectory, evolve, trapping_delta
 from lics.cli import (
+    TRAJECTORY_HEADER,
     ConfigError,
     RunConfig,
     main,
@@ -126,7 +128,42 @@ class TestParseConfig:
         assert parse_config(render_config(cfg)) == cfg
 
 
+def _per_cell_csv(traj: Trajectory) -> str:
+    """Reference: the cell-by-cell trajectory writer that the row formatter
+    replaced, on numpy scalars."""
+    fmt = "{:.17g}".format
+    amps = traj.amps if traj.amps.shape[1] == 4 else np.hstack([traj.amps, np.zeros_like(traj.amps)])
+    lines = [TRAJECTORY_HEADER]
+    for k, t in enumerate(traj.times):
+        cells = [fmt(t)]
+        for a in amps[k]:
+            cells += [fmt(a.real), fmt(a.imag)]
+        cells.extend(fmt(abs(a) ** 2) for a in amps[k])
+        cells.append(fmt(traj.ionization[k]))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 class TestWriteCsv:
+    @pytest.mark.parametrize("basis", [Basis.BRIGHTDARK4, Basis.TWOLEVEL2])
+    @pytest.mark.parametrize("rows", [4095, 4096, 4097])
+    def test_matches_the_per_cell_writer(self, tmp_path, rows, basis):
+        rng = np.random.default_rng(rows)
+        shape = (rows, basis.dim)
+        scale = np.exp(rng.uniform(-40.0, 0.0, size=shape))
+        amps = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale
+        special = [-0.0, 5e-324, 1e300, complex(-0.0, 5e-324), complex(1e300, -0.0), 1e-170j]
+        amps.flat[: len(special)] = special
+        ion = rng.uniform(-1e-9, 1.0, size=rows)
+        ion[:3] = [-0.0, 5e-324, 1e300]
+        traj = Trajectory(TimeGrid(-3.0, 7.0, rows), basis, amps, ion)
+        with np.errstate(over="ignore"):
+            # the cases where numpy's array abs rounds differently are covered
+            assert (np.abs(amps) ** 2 != np.array([abs(a) ** 2 for a in amps.flat]).reshape(shape)).any()
+            expected = _per_cell_csv(traj).encode()
+            write_csv(traj, tmp_path / "rows.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == expected
+
     def test_trajectory_schema_and_first_row(self, tmp_path, strong_params):
         p = dataclasses.replace(strong_params, delta=trapping_delta(strong_params))
         traj = evolve(p, "four_state", "bright", TimeGrid(0.0, 6.0, 11))
@@ -166,7 +203,7 @@ class TestWriteCsv:
         path = tmp_path / "rt.csv"
         write_csv(traj, path)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-        amps = traj.amplitudes()
+        amps = traj.amps
         for k, row in enumerate(rows):
             assert float(row[1]) == amps[k, 0].real
             assert float(row[2]) == amps[k, 0].imag
@@ -207,6 +244,12 @@ class TestRenderSvg:
         render_svg(profile, path)
         root = ET.fromstring(path.read_text())
         assert len(root.findall(".//{http://www.w3.org/2000/svg}polyline")) == 1
+
+    def test_label_escape_matches_xml(self):
+        from lics.cli import _escape
+
+        text = "a < b & c > d &amp; <tag> \"q\" 'q'"
+        assert _escape(text) == escape(text)
 
     def test_empty_data_writes_nothing(self, tmp_path):
         profile = FanoProfile(np.array([]), np.array([]), 6.0, "four_state", "g1")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import lics
 from conftest import make_random_params
 from lics import (
     Basis,
@@ -179,7 +180,7 @@ class TestPropagateExpm:
         h = np.diag([-1j, 0.0])
         s0 = State(Basis.BRIGHT2, [1.0, 0.0])
         traj = propagate_expm(h, s0, TimeGrid(0.0, 4.0, 9))
-        amp0 = np.abs(traj.amplitudes()[:, 0])
+        amp0 = np.abs(traj.amps[:, 0])
         np.testing.assert_allclose(amp0, np.exp(-traj.times), rtol=1e-12)
 
     def test_matches_closed_form_on_trapping_manifold(self, strong_params):
@@ -188,7 +189,7 @@ class TestPropagateExpm:
         s0 = State(Basis.BRIGHT2, [1.0, 0.0])
         traj = propagate_expm(bright_hamiltonian(p), s0, grid)
         bg, be = analytic_bright(p, grid.times())
-        amps = traj.amplitudes()
+        amps = traj.amps
         assert np.abs(amps[:, 0] - bg).max() < 1e-10
         assert np.abs(amps[:, 1] - be).max() < 1e-10
 
@@ -235,8 +236,8 @@ class TestIntegrate:
             s0v = rng.normal(size=4) + 1j * rng.normal(size=4)
             s0 = State(Basis.ORIGINAL4, s0v / np.linalg.norm(s0v))
             grid = TimeGrid(0.0, 2.0, 41)
-            exact = propagate_expm(h, s0, grid).amplitudes()
-            numeric = integrate(h, s0, grid, tol).amplitudes()
+            exact = propagate_expm(h, s0, grid).amps
+            numeric = integrate(h, s0, grid, tol).amps
             assert np.abs(numeric - exact).max() < 10.0 * tol
 
     @pytest.mark.parametrize("tol", [1e-5, 1e-8, 1e-11])
@@ -249,8 +250,8 @@ class TestIntegrate:
             h = effective_hamiltonian(p)
             s0 = State(Basis.ORIGINAL4, [INV_SQRT2, INV_SQRT2, 0.0, 0.0])
             grid = TimeGrid(0.0, 2.0, 41)
-            exact = propagate_expm(h, s0, grid).amplitudes()
-            numeric = integrate(h, s0, grid, tol).amplitudes()
+            exact = propagate_expm(h, s0, grid).amps
+            numeric = integrate(h, s0, grid, tol).amps
             assert np.abs(numeric - exact).max() < 150.0 * tol
 
     def test_unitary_limit_preserves_norm(self):
@@ -275,6 +276,14 @@ class TestIntegrate:
         s0 = State(Basis.BRIGHT2, [1.0, 0.0])
         with pytest.raises(IntegrationError):
             integrate(h, s0, TimeGrid(0.0, 1.0, 3), tol=1e-10)
+
+    def test_non_finite_result_rejected(self, monkeypatch):
+        """A controller that accepted every step would let an overflow
+        through; the finiteness check still refuses it."""
+        monkeypatch.setattr(lics.dynamics, "_error_norm", lambda diff, scale: 0.0)
+        s0 = State(Basis.BRIGHT2, [1e300, 0.0])
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="amplitudes must be finite"):
+            integrate(np.diag([1e3j, 0.0]), s0, TimeGrid(0.0, 1.0, 3))
 
     def test_dense_output_hits_grid_times(self):
         h = np.diag([-1j, -2j])
@@ -302,7 +311,7 @@ class TestClosedForms:
         grid = TimeGrid(0.0, 1.0, 21)
         traj = integrate(bright_hamiltonian(p), State(Basis.BRIGHT2, [1.0, 0.0]), grid, 1e-11)
         bg, be = analytic_bright(p, grid.times())
-        amps = traj.amplitudes()
+        amps = traj.amps
         assert np.abs(amps[:, 0] - bg).max() < 1e-8
         assert np.abs(amps[:, 1] - be).max() < 1e-8
 
@@ -350,7 +359,7 @@ class TestEvolve:
     def test_g1_dark_population_constant(self, strong_params):
         p = dataclasses.replace(strong_params, delta=trapping_delta(strong_params))
         traj = evolve(p, "four_state", "g1", TimeGrid(0.0, 6.0, 121))
-        dark = np.abs(traj.amplitudes()[:, 2]) ** 2
+        dark = np.abs(traj.amps[:, 2]) ** 2
         np.testing.assert_allclose(dark, 0.5, atol=1e-10)
 
     def test_two_level_ground_start(self, strong_params):
@@ -361,8 +370,8 @@ class TestEvolve:
     def test_bright2_matches_four_state_bright_block(self, strong_params):
         p = dataclasses.replace(strong_params, delta=trapping_delta(strong_params))
         grid = TimeGrid(0.0, 4.0, 81)
-        four = evolve(p, "four_state", "bright", grid).amplitudes()
-        two = evolve(p, "bright2", "bright", grid).amplitudes()
+        four = evolve(p, "four_state", "bright", grid).amps
+        two = evolve(p, "bright2", "bright", grid).amps
         assert np.abs(four[:, :2] - two).max() < 1e-10
         assert np.abs(four[:, 2:]).max() < 1e-12
 
@@ -371,11 +380,11 @@ class TestEvolve:
         the decoupled blocks independently."""
         p = dataclasses.replace(strong_params, delta=trapping_delta(strong_params))
         grid = TimeGrid(0.0, 5.0, 101)
-        mapped = evolve(p, "four_state", "g1", grid).amplitudes()
+        mapped = evolve(p, "four_state", "g1", grid).amps
 
         bright_block = propagate_expm(
             bright_hamiltonian(p), State(Basis.BRIGHT2, [INV_SQRT2, 0.0]), grid
-        ).amplitudes()
+        ).amps
         hd = dark_hamiltonian(p)
         dark0 = np.array([-INV_SQRT2, 0.0])
         phases = np.exp(-1j * np.outer(grid.times(), np.diag(hd)))
@@ -417,7 +426,7 @@ class TestEvolve:
         for _ in range(25):
             p = make_random_params(rng)
             traj = evolve(p, "four_state", str(rng.choice(["g1", "g2"])), TimeGrid(0.0, 5.0, 41))
-            dark = np.abs(traj.amplitudes()[:, 2:])
+            dark = np.abs(traj.amps[:, 2:])
             assert np.abs(dark - dark[0]).max() < 1e-10
 
 
@@ -429,6 +438,54 @@ class TestTrajectory:
         assert traj.ionization.shape == (17,)
         for s, ion in zip(traj.states, traj.ionization):
             assert ion == pytest.approx(1.0 - s.norm_sq, abs=1e-12)
+
+    def test_evolve_builds_no_state_per_sample(self, strong_params, monkeypatch):
+        calls = {"state": 0, "map": 0}
+        post_init, to_bd = State.__post_init__, lics.transforms.to_bright_dark
+
+        def counted_post_init(state):
+            calls["state"] += 1
+            post_init(state)
+
+        def counted_map(state):
+            calls["map"] += 1
+            return to_bd(state)
+
+        monkeypatch.setattr(State, "__post_init__", counted_post_init)
+        for module in (lics, lics.transforms, lics.dynamics):
+            if hasattr(module, "to_bright_dark"):
+                monkeypatch.setattr(module, "to_bright_dark", counted_map)
+        counts = []
+        for n in (11, 2001):
+            calls.update(state=0, map=0)
+            traj = evolve(strong_params, "four_state", "g1", TimeGrid(0.0, 6.0, n))
+            assert traj.amps.shape == (n, 4) and traj.amps_original.shape == (n, 4)
+            assert calls["map"] == 0
+            counts.append(calls["state"])
+        assert counts[0] == counts[1] <= 2
+
+    def test_states_are_built_from_the_arrays(self, strong_params):
+        traj = evolve(strong_params, "four_state", "g1", TimeGrid(0.0, 1.0, 201))
+        for states, amps in ((traj.states, traj.amps), (traj.states_original, traj.amps_original)):
+            np.testing.assert_array_equal([s.amps for s in states], amps)
+            np.testing.assert_array_equal([s.time for s in states], traj.times)
+        # the stacked map is bit-identical to mapping each sample on its own
+        np.testing.assert_array_equal(traj.amps, [to_bright_dark(s).amps for s in traj.states_original])
+        assert traj.states_original[0].basis is Basis.ORIGINAL4
+        assert traj.states is traj.states  # built once, on first access
+        two = evolve(strong_params, "bright2", "bright", TimeGrid(0.0, 1.0, 5))
+        assert two.states_original is None
+
+    def test_rejects_inconsistent_or_non_finite_amplitudes(self):
+        grid = TimeGrid(0.0, 1.0, 3)
+        with pytest.raises(ValueError, match="shape"):
+            Trajectory(grid, Basis.BRIGHT2, np.zeros((3, 4), dtype=complex), np.zeros(3))
+        with pytest.raises(ValueError, match="shape"):
+            Trajectory(grid, Basis.BRIGHT2, np.zeros((2, 2), dtype=complex), np.zeros(2))
+        amps = np.zeros((3, 2), dtype=complex)
+        amps[1, 0] = np.nan
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            Trajectory(grid, Basis.BRIGHT2, amps, np.zeros(3))
 
     def test_oracle_triangle(self, strong_params):
         """Closed form, exponential and Runge-Kutta propagation agree."""
