@@ -13,14 +13,16 @@ comment.  The ``command`` key selects what to do:
 
 ``delta = trap`` in a configuration resolves to the trapping value at
 load time.  With ``--plot`` (or ``plot = true``) a self-contained SVG
-line plot is written next to the CSV.
+line plot is written next to the CSV.  ``--tol`` sets the tolerance of
+the adaptive integrator, which only ``nondeg`` runs; with any other
+command it is an error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,28 +59,29 @@ __all__ = [
 
 COMMANDS = ("evolve", "fano", "trap", "eigen", "nondeg")
 
-_PARAM_KEYS = (
-    "gamma_g",
-    "gamma_e",
-    "stark_g",
-    "stark_e",
-    "q_gg",
-    "q_ee",
-    "q_eg",
-    "delta",
-    "shift_g",
-    "shift_e",
-)
-_FLOAT_KEYS = frozenset(_PARAM_KEYS) | {"t_start", "t_end", "t_obs", "tol", "delta_min", "delta_max"}
-_INT_KEYS = frozenset({"n_samples", "delta_steps"})
-_STR_KEYS = frozenset({"command", "model", "init", "out"})
-_BOOL_KEYS = frozenset({"plot"})
-KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _BOOL_KEYS
+_PARAM_KEYS = tuple(f.name for f in fields(Params))
+# every other key with its type, in RunConfig field order
+_RUN_KEYS = {
+    "command": str,
+    "model": str,
+    "init": str,
+    "t_start": float,
+    "t_end": float,
+    "n_samples": int,
+    "delta_min": float,
+    "delta_max": float,
+    "delta_steps": int,
+    "t_obs": float,
+    "tol": float,
+    "out": str,
+    "plot": bool,
+}
+KNOWN_KEYS = frozenset((*_PARAM_KEYS, *_RUN_KEYS))
 
 _REQUIRED_KEYS = ("command", "gamma_g", "gamma_e")
 
-_TRUE_WORDS = {"true", "1", "yes", "on"}
-_FALSE_WORDS = {"false", "0", "no", "off"}
+_BOOL_WORDS = dict.fromkeys(("true", "1", "yes", "on"), True)
+_BOOL_WORDS.update(dict.fromkeys(("false", "0", "no", "off"), False))
 
 
 class ConfigError(ValueError):
@@ -106,18 +109,28 @@ class RunConfig:
     delta_is_trap: bool = False
 
 
-def _parse_number(raw: str, lineno: int, key: str, want_int: bool):
+def _parse_value(raw: str, lineno: int, key: str, kind: type):
+    if kind is str:
+        return raw
+    if kind is bool:
+        if raw.lower() not in _BOOL_WORDS:
+            raise ConfigError(f"line {lineno}: value for {key!r} must be true or false, got {raw!r}")
+        return _BOOL_WORDS[raw.lower()]
     try:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: value for {key!r} is not a number: {raw!r}") from None
     if not np.isfinite(value):
         raise ConfigError(f"line {lineno}: value for {key!r} must be finite, got {raw!r}")
-    if want_int:
-        if value != int(value):
-            raise ConfigError(f"line {lineno}: value for {key!r} must be an integer, got {raw!r}")
-        return int(value)
-    return value
+    if kind is float:
+        return value
+    if value != int(value):
+        raise ConfigError(f"line {lineno}: value for {key!r} must be an integer, got {raw!r}")
+    if value > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"line {lineno}: value for {key!r} must be at most {_MAX_GRID_POINTS}, got {raw!r}"
+        )
+    return int(value)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -143,43 +156,19 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if not raw:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
-        if key == "delta" and raw.lower() == "trap":
-            delta_is_trap = True
-            values[key] = 0.0
-        elif key in _FLOAT_KEYS:
-            values[key] = _parse_number(raw, lineno, key, want_int=False)
-            if key == "delta":
-                delta_is_trap = False
-        elif key in _INT_KEYS:
-            values[key] = _parse_number(raw, lineno, key, want_int=True)
-            if values[key] > _MAX_GRID_POINTS:
-                raise ConfigError(
-                    f"line {lineno}: value for {key!r} must be at most {_MAX_GRID_POINTS}, got {raw!r}"
-                )
-        elif key in _BOOL_KEYS:
-            word = raw.lower()
-            if word in _TRUE_WORDS:
-                values[key] = True
-            elif word in _FALSE_WORDS:
-                values[key] = False
-            else:
-                raise ConfigError(f"line {lineno}: value for {key!r} must be true or false, got {raw!r}")
-        else:
-            values[key] = raw
+        if key == "delta":
+            delta_is_trap = raw.lower() == "trap"
+            if delta_is_trap:
+                values[key] = 0.0
+                continue
+        values[key] = _parse_value(raw, lineno, key, _RUN_KEYS.get(key, float))
 
     for key in _REQUIRED_KEYS:
         if key not in values:
             raise ConfigError(f"missing required key: {key}")
-
-    command = str(values.pop("command"))
-    if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}, expected one of {COMMANDS}")
-    model = str(values.pop("model", "four_state"))
-    if model not in MODELS:
-        raise ConfigError(f"unknown model {model!r}, expected one of {MODELS}")
-    init = str(values.pop("init", "bright"))
-    if init not in INITS:
-        raise ConfigError(f"unknown init {init!r}, expected one of {INITS}")
+    for key, allowed in (("command", COMMANDS), ("model", MODELS), ("init", INITS)):
+        if key in values and values[key] not in allowed:
+            raise ConfigError(f"unknown {key} {values[key]!r}, expected one of {allowed}")
 
     param_values = {key: values.pop(key) for key in _PARAM_KEYS if key in values}
     try:
@@ -188,49 +177,26 @@ def parse_config(text: str) -> RunConfig:
             params = replace(params, delta=trapping_delta(params))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    try:
-        return RunConfig(
-            params=params,
-            command=command,
-            model=model,
-            init=init,
-            delta_is_trap=delta_is_trap,
-            **values,  # type: ignore[arg-type]
-        )
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return RunConfig(params=params, delta_is_trap=delta_is_trap, **values)  # type: ignore[arg-type]
 
 
-def _format_float(value: float) -> str:
-    return repr(float(value))
+def _format_value(value, kind: type) -> str:
+    if kind is float:
+        return repr(float(value))
+    if kind is bool:
+        return "true" if value else "false"
+    return str(value)
 
 
 def render_config(cfg: RunConfig) -> str:
     """Canonical serialization; ``parse_config`` round-trips it exactly."""
-    lines = []
-    for key in _PARAM_KEYS:
-        if key == "delta" and cfg.delta_is_trap:
-            lines.append("delta = trap")
-        else:
-            lines.append(f"{key} = {_format_float(getattr(cfg.params, key))}")
-    lines.append(f"command = {cfg.command}")
-    lines.append(f"model = {cfg.model}")
-    lines.append(f"init = {cfg.init}")
-    lines.append(f"t_start = {_format_float(cfg.t_start)}")
-    lines.append(f"t_end = {_format_float(cfg.t_end)}")
-    lines.append(f"n_samples = {cfg.n_samples}")
-    for key in ("delta_min", "delta_max"):
+    lines = [f"{key} = {_format_value(getattr(cfg.params, key), float)}" for key in _PARAM_KEYS]
+    if cfg.delta_is_trap:
+        lines[_PARAM_KEYS.index("delta")] = "delta = trap"
+    for key, kind in _RUN_KEYS.items():
         value = getattr(cfg, key)
         if value is not None:
-            lines.append(f"{key} = {_format_float(value)}")
-    if cfg.delta_steps is not None:
-        lines.append(f"delta_steps = {cfg.delta_steps}")
-    lines.append(f"t_obs = {_format_float(cfg.t_obs)}")
-    lines.append(f"tol = {_format_float(cfg.tol)}")
-    if cfg.out is not None:
-        lines.append(f"out = {cfg.out}")
-    lines.append(f"plot = {'true' if cfg.plot else 'false'}")
+            lines.append(f"{key} = {_format_value(value, kind)}")
     return "\n".join(lines) + "\n"
 
 
@@ -526,6 +492,8 @@ def main(argv=None) -> int:
         if args.plot:
             cfg = replace(cfg, plot=True)
         if args.tol is not None:
+            if cfg.command != "nondeg":
+                raise ConfigError(f"--tol applies only to command 'nondeg', not {cfg.command!r}")
             cfg = replace(cfg, tol=args.tol)
         return run(cfg)
     except (ValueError, RuntimeError, OSError) as exc:

@@ -529,7 +529,9 @@ def build_hamiltonian(p: Params, model: str) -> CMatrix:
     }
     if model not in builders:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
-    return builders[model](p)
+    # an overflow near the float limit is reported once, by eigensystem's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        return builders[model](p)
 
 
 def _initial_state(model: str, init) -> State:

@@ -237,7 +237,6 @@ class TestScanKernel:
             amps = scipy.linalg.expm(-6j * h) @ s0.amps
             assert abs(ion - (1.0 - np.vdot(amps, amps).real)) < 1e-10
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failure_names_the_detuning(self, strong_params):
         with pytest.raises(RuntimeError, match=r"delta = 1e\+154") as info:
             fano_scan(strong_params, [0.0, 1e154], 6.0)
@@ -255,6 +254,14 @@ class TestScanKernel:
                 fano_scan(strong_params, [0.0, 1e154], 6.0)
         assert isinstance(info.value.__cause__, ValueError)
         assert str(info.value.__cause__) == "amplitudes must be finite"
+
+    def test_builder_overflow_fails_without_warnings(self, strong_params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=r"delta = -1e\+308") as info:
+                fano_scan(strong_params, [-1e308, 1e308], 6.0)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value.__cause__) == "matrix entries must be finite"
 
 
 class TestDefaultDeltaGrid:

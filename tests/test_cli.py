@@ -1,4 +1,5 @@
 import dataclasses
+import textwrap
 import tracemalloc
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import STRONG
 from lics import Basis, FanoProfile, Params, TimeGrid, Trajectory, evolve, trapping_delta
+from lics import cli
 from lics.cli import (
     TRAJECTORY_HEADER,
     ConfigError,
@@ -126,6 +128,57 @@ class TestParseConfig:
     )
     def test_round_trip(self, cfg):
         assert parse_config(render_config(cfg)) == cfg
+
+    def test_canonical_text(self):
+        cfg = RunConfig(
+            params=Params(**STRONG, delta=0.8090000000000025, shift_g=0.25, shift_e=-1),
+            command="nondeg",
+            model="nondegenerate4",
+            init="g2",
+            t_start=-1,
+            t_end=10.0,
+            n_samples=101,
+            delta_min=-3.0,
+            delta_max=1e-3,
+            delta_steps=41,
+            t_obs=4.5,
+            tol=1e-9,
+            out="cmp.csv",
+            plot=True,
+            delta_is_trap=True,
+        )
+        assert render_config(cfg) == textwrap.dedent(
+            """\
+            gamma_g = 5.5
+            gamma_e = 12.74
+            stark_g = 0.5
+            stark_e = 0.6
+            q_gg = 2.3
+            q_ee = 5.0
+            q_eg = 3.4
+            delta = trap
+            shift_g = 0.25
+            shift_e = -1.0
+            command = nondeg
+            model = nondegenerate4
+            init = g2
+            t_start = -1.0
+            t_end = 10.0
+            n_samples = 101
+            delta_min = -3.0
+            delta_max = 0.001
+            delta_steps = 41
+            t_obs = 4.5
+            tol = 1e-09
+            out = cmp.csv
+            plot = true
+            """
+        )
+
+    def test_key_table_matches_run_config(self):
+        fields = [f.name for f in dataclasses.fields(RunConfig)]
+        assert fields == ["params", *cli._RUN_KEYS, "delta_is_trap"]
+        assert cli._PARAM_KEYS == tuple(f.name for f in dataclasses.fields(Params))
 
 
 def _per_cell_csv(traj: Trajectory) -> str:
@@ -364,6 +417,27 @@ class TestMain:
         config.write_text(_cfg_text("evolve", delta="trap", n_samples=11, out=out_a))
         assert main([str(config), "--out", str(out_b)]) == 0
         assert out_b.exists() and not out_a.exists()
+
+    def test_tol_flag_rejected_without_integrator(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        out = tmp_path / "out.csv"
+        config.write_text(_cfg_text("evolve", delta="trap", n_samples=11, out=out))
+        assert main([str(config), "--tol", "1e-3"]) == 1
+        err = capsys.readouterr().err
+        assert "--tol" in err and "nondeg" in err
+        assert not out.exists()
+
+    def test_tol_flag_reaches_nondeg(self, tmp_path, capsys):
+        outputs = []
+        for tol, flags in [(1e-3, ["--tol", "1e-8"]), (1e-8, []), (1e-3, [])]:
+            config = tmp_path / "run.conf"
+            out = tmp_path / f"out{len(outputs)}.csv"
+            config.write_text(
+                _cfg_text("nondeg", delta="trap", n_samples=11, delta_steps=5, out=out, tol=tol)
+            )
+            assert main([str(config), *flags]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] != outputs[2]
 
     def test_missing_config_file(self, capsys):
         assert main(["/nonexistent/path.conf"]) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -409,6 +410,13 @@ class TestEvolve:
             evolve(strong_params, "pentagon", "bright", TimeGrid(0, 1, 3))
         with pytest.raises(ValueError, match="init"):
             evolve(strong_params, "four_state", "g3", TimeGrid(0, 1, 3))
+
+    def test_builder_overflow_fails_without_warnings(self, strong_params):
+        p = dataclasses.replace(strong_params, delta=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                evolve(p, "four_state", "g1", TimeGrid(0, 1, 3))
 
     def test_ionization_monotone_for_random_parameters(self):
         rng = np.random.default_rng(31)
