@@ -263,6 +263,17 @@ class TestScanKernel:
         assert isinstance(info.value.__cause__, ValueError)
         assert str(info.value.__cause__) == "matrix entries must be finite"
 
+    @pytest.mark.parametrize("model,init", [("bright2", "bright"), ("twolevel2", "g1")])
+    def test_two_state_overflow_fails_with_value_error(self, strong_params, model, init):
+        """The 2x2 builders stay finite at 1e308; their overflowing
+        residual sends the point to the Pade route, whose norm is out of
+        range."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=r"delta = 1e\+308") as info:
+                fano_scan(strong_params, [0.0, 1e308], 6.0, init, model)
+        assert isinstance(info.value.__cause__, ValueError)
+
 
 class TestDefaultDeltaGrid:
     def test_plain_window(self, strong_params):

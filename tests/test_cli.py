@@ -439,6 +439,16 @@ class TestMain:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] != outputs[2]
 
+    @pytest.mark.parametrize("model", ["bright2", "twolevel2"])
+    def test_overflow_is_an_error_line(self, tmp_path, capsys, model):
+        config = tmp_path / "run.conf"
+        out = tmp_path / "out.csv"
+        config.write_text(_cfg_text("evolve", model=model, init="g1", delta=1e308, n_samples=11, out=out))
+        assert main([str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_config_file(self, capsys):
         assert main(["/nonexistent/path.conf"]) == 1
         assert "error" in capsys.readouterr().err

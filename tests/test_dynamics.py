@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lics
 from conftest import make_random_params
@@ -28,8 +30,10 @@ from lics import (
     to_bright_dark,
     trapping_delta,
 )
+from lics.dynamics import _RK_A, _RK_B, _RK_C, _RK_E, _RK_P, _fold_tableau
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_STEP_POLY, _ERROR_POLY, _DENSE_POLY = _fold_tableau()
 
 
 def _sorted(values):
@@ -38,6 +42,36 @@ def _sorted(values):
 
 def _random_matrix(rng, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def _dissipative_hamiltonian(rng, n):
+    """h = A - iB with A Hermitian and B positive semidefinite."""
+    a = _random_matrix(rng, n)
+    b = _random_matrix(rng, n)
+    return 0.5 * (a + a.conj().T) - 1j * (b @ b.conj().T)
+
+
+def _nested_stage_step(m, y, step, thetas):
+    """One Dormand-Prince step of c' = Mc through its seven stages, as the
+    tableau states them: the new amplitudes, the error estimate and the
+    dense output at each theta."""
+
+    def deriv(_t, c):
+        return m @ c
+
+    k = np.empty((7, y.size), dtype=np.complex128)
+    k[0] = deriv(0.0, y)
+    for i in range(1, 7):
+        k[i] = deriv(_RK_C[i] * step, y + step * (_RK_A[i] @ k[:i]))
+    dense = [y + step * (k.T @ (_RK_P @ theta ** np.arange(1, 5))) for theta in thetas]
+    return y + step * (_RK_B @ k), step * (_RK_E @ k), np.array(dense)
+
+
+def _polynomial_step(m, y, step, thetas):
+    """The same step from the folded polynomials in z = step·M."""
+    u = np.array([np.linalg.matrix_power(step * m, p) @ y for p in range(8)])
+    dense = [y + (theta ** np.arange(1, 5) @ _DENSE_POLY) @ u for theta in thetas]
+    return _STEP_POLY @ u, _ERROR_POLY @ u, np.array(dense)
 
 
 class TestTimeGrid:
@@ -292,6 +326,63 @@ class TestIntegrate:
         grid = TimeGrid(0.0, 3.0, 7)
         traj = integrate(h, s0, grid, tol=1e-10)
         np.testing.assert_allclose([s.time for s in traj.states], grid.times())
+
+    def test_huge_hamiltonian_on_a_short_span(self):
+        """Unscaled powers of M overflow at M^7 once ||h|| is above about
+        1e44, while step·M stays near 1 on a short enough span."""
+        h = 1e100 * np.array([[1.0 - 0.5j, 0.3], [0.3, -1.0 - 0.2j]])
+        s0 = State(Basis.BRIGHT2, [1.0, 0.0])
+        grid = TimeGrid(0.0, 1e-100, 5)
+        exact = propagate_expm(h, s0, grid).amps
+        assert np.abs(integrate(h, s0, grid, 1e-10).amps - exact).max() < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        log_scale=st.floats(min_value=-1.0, max_value=1.0),
+        tol=st.floats(min_value=1e-12, max_value=1e-4),
+    )
+    def test_agrees_with_expm_on_dissipative_hamiltonians(self, seed, log_scale, tol):
+        rng = np.random.default_rng(seed)
+        h = _dissipative_hamiltonian(rng, 4)
+        h *= 10.0**log_scale / np.abs(h).max()
+        s0v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        s0 = State(Basis.ORIGINAL4, s0v / np.linalg.norm(s0v))
+        grid = TimeGrid(0.0, 2.0, 41)
+        exact = propagate_expm(h, s0, grid).amps
+        assert np.abs(integrate(h, s0, grid, tol).amps - exact).max() < 10.0 * tol
+
+
+class TestFoldedTableau:
+    """The stage loop folded into polynomials in z = step·M."""
+
+    def test_step_polynomial_is_the_dp5_stability_polynomial(self):
+        expected = [1.0, 1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0.0]
+        np.testing.assert_allclose(_STEP_POLY, expected, rtol=1e-15, atol=1e-15)
+        assert _STEP_POLY[7] == 0.0
+
+    def test_error_polynomial_starts_at_the_fifth_power(self):
+        """Both weight sets are exact to fourth order, so their difference
+        has no terms below z^5."""
+        assert np.abs(_ERROR_POLY[:5]).max() < 1e-15
+        assert np.abs(_ERROR_POLY[5:]).min() > 1e-5
+
+    def test_dense_output_ends_at_the_step(self):
+        """At theta = 1 the dense output is the step itself."""
+        np.testing.assert_allclose(_DENSE_POLY.sum(axis=0)[1:], _STEP_POLY[1:], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("z_norm", [1e-3, 0.1, 1.0, 2.0, 3.3])
+    def test_one_step_matches_the_nested_stages(self, n, z_norm):
+        rng = np.random.default_rng(n)
+        thetas = [0.0, 0.25, 0.5, 0.9, 1.0]
+        for _ in range(5):
+            m = _random_matrix(rng, n)
+            y = rng.normal(size=n) + 1j * rng.normal(size=n)
+            y /= np.linalg.norm(y)
+            step = z_norm / np.linalg.norm(m, 2)
+            for ref, poly in zip(_nested_stage_step(m, y, step, thetas), _polynomial_step(m, y, step, thetas)):
+                assert np.abs(poly - ref).max() <= 1e-13
 
 
 class TestClosedForms:
