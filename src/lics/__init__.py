@@ -7,90 +7,12 @@ analytic and numerical propagation, ionization trajectories and Fano
 detuning profiles.
 """
 
-from .analysis import (
-    DegeneracyReport,
-    FanoProfile,
-    asymptotic_survival,
-    default_delta_grid,
-    degeneracy_validity,
-    fano_scan,
-    ionization,
-    trapping_delta,
-    trapping_residual,
-)
-from .dynamics import (
-    INITS,
-    MODELS,
-    Eigensystem,
-    IntegrationError,
-    TimeGrid,
-    Trajectory,
-    analytic_bright,
-    analytic_g1,
-    build_hamiltonian,
-    eigensystem,
-    eigenvalues,
-    evolve,
-    integrate,
-    propagate_expm,
-)
-from .model import (
-    CMatrix,
-    Params,
-    bright_hamiltonian,
-    dark_hamiltonian,
-    effective_hamiltonian,
-    nondegenerate_hamiltonian,
-    two_level_hamiltonian,
-)
-from .transforms import (
-    Basis,
-    State,
-    block_diagonalize,
-    from_bright_dark,
-    rotation,
-    shift_permutation,
-    to_bright_dark,
-)
+from . import analysis, dynamics, model, transforms
+from .analysis import *
+from .dynamics import *
+from .model import *
+from .transforms import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Basis",
-    "CMatrix",
-    "DegeneracyReport",
-    "Eigensystem",
-    "FanoProfile",
-    "INITS",
-    "IntegrationError",
-    "MODELS",
-    "Params",
-    "State",
-    "TimeGrid",
-    "Trajectory",
-    "analytic_bright",
-    "analytic_g1",
-    "asymptotic_survival",
-    "block_diagonalize",
-    "bright_hamiltonian",
-    "build_hamiltonian",
-    "dark_hamiltonian",
-    "default_delta_grid",
-    "degeneracy_validity",
-    "effective_hamiltonian",
-    "eigensystem",
-    "eigenvalues",
-    "evolve",
-    "fano_scan",
-    "from_bright_dark",
-    "integrate",
-    "ionization",
-    "nondegenerate_hamiltonian",
-    "propagate_expm",
-    "rotation",
-    "shift_permutation",
-    "to_bright_dark",
-    "trapping_delta",
-    "trapping_residual",
-    "two_level_hamiltonian",
-]
+__all__ = sorted({*analysis.__all__, *dynamics.__all__, *model.__all__, *transforms.__all__})

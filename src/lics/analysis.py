@@ -102,15 +102,15 @@ class FanoProfile:
 def fano_scan(p: Params, delta_grid, t_obs: float, init="bright", model: str = "four_state") -> FanoProfile:
     """Ionization at time ``t_obs`` for every detuning in ``delta_grid``.
 
-    The detuning enters every model only on the excited diagonal, so
-    the scan is one affine stack of Hamiltonians, propagated in blocks
-    of detunings, each through one stacked LAPACK eigen-decomposition.
-    Points where those eigenpairs are not
-    trustworthy (a clustered or defective root, as at an exceptional
-    point, ill-conditioned eigenvectors, or a non-finite result) are
-    propagated one by one by ``propagate_expm``, with its Pade fallback.
-    Results are reported in grid order; a point whose propagation fails
-    raises RuntimeError naming its detuning.
+    The detunings are propagated in blocks, each through one stacked
+    ``eigensystem`` call and the kernel of ``propagate_expm``, so every
+    value equals ``evolve(...).ionization[-1]`` at that detuning bit for
+    bit.  Points where those eigenpairs are not trusted (a defective
+    root, as at an exceptional point, or ill-conditioned eigenvectors)
+    or whose result is not finite are propagated one by one by
+    ``propagate_expm``, with its Pade fallback.  Results are reported in
+    grid order; a point whose propagation fails raises RuntimeError
+    naming its detuning.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size == 0:

@@ -6,8 +6,8 @@ i dc/dt = H c:
 * ``propagate_expm``: exact exponential through an eigen-decomposition
   whose eigenpairs come from LAPACK, with a scaling-and-squaring Pade
   fallback for defective or ill-conditioned cases (``_scan_ionization``
-  runs the same method over a whole detuning scan, a block of stacked
-  matrices per LAPACK call);
+  runs the same ``eigensystem`` and kernel over a whole detuning scan, a
+  stack of matrices per LAPACK call, and gets the same bits);
 * ``integrate``: an embedded Dormand-Prince 5(4) Runge-Kutta solver with
   PI step control and dense output, its seven stages evaluated as one
   precomputed polynomial in step·M (M = -i h) per step;
@@ -147,11 +147,13 @@ class Trajectory:
 class Eigensystem:
     """Eigenvalues (sorted by real part, then imaginary part) and right
     eigenvectors (as columns).  ``degenerate`` flags a defective matrix:
-    the eigenvalues are still valid but the vectors do not span."""
+    the eigenvalues are still valid but the vectors do not span.  For a
+    (k, n, n) stack each field gains a leading axis of length k, and
+    ``degenerate`` is a (k,) mask."""
 
     values: np.ndarray
     vectors: np.ndarray
-    degenerate: bool
+    degenerate: bool | np.ndarray
 
 
 def _ionization_values(amps: np.ndarray) -> np.ndarray:
@@ -174,52 +176,60 @@ def _null_space_vectors(a: CMatrix, count: int) -> tuple[np.ndarray, int]:
 
 
 def eigensystem(m: CMatrix) -> Eigensystem:
-    """Eigenvalues and right eigenvectors of a 2x2 or 4x4 complex matrix.
+    """Eigenvalues and right eigenvectors of a 2x2 or 4x4 complex matrix,
+    or of every matrix of a (k, n, n) stack through one LAPACK call.
 
     LAPACK (``np.linalg.eig``) supplies the eigenpairs.  Eigenvalues
     within 1e-7 (relative) of each other are reported as one multiple
     root, their mean, with vectors spanning the numerical null space of
     ``m - value``; a null space thinner than the multiplicity flags the
-    matrix as defective.  Results are sorted by real part (ties by
-    imaginary part) so repeated runs are reproducible.
+    matrix as defective.  Only the matrices of a stack that have such a
+    cluster run this pass.  Results are sorted by real part (ties by
+    imaginary part) so repeated runs are reproducible, and each matrix of
+    a stack gets the same bits as it gets alone.
 
     Raises ValueError if an entry is not finite.  A residual that
     overflows near the float limit flags the matrix as ``degenerate``.
     """
     m = np.asarray(m, dtype=np.complex128)
-    n = m.shape[0]
-    if m.shape != (n, n) or n not in (2, 4):
-        raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] not in (2, 4):
+        raise ValueError(f"expected a 2x2 or 4x4 matrix or a stack of them, got shape {m.shape}")
+    if m.ndim == 2:
+        es = eigensystem(m[None])
+        return Eigensystem(es.values[0], es.vectors[0], bool(es.degenerate[0]))
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
 
-    scale = float(np.abs(m).max())
-    if scale == 0.0:
-        return Eigensystem(np.zeros(n, dtype=np.complex128), np.eye(n, dtype=np.complex128), False)
-
+    n = m.shape[-1]
+    scale = np.abs(m).max(axis=(1, 2))
     # near the float limit the residual overflows to inf or NaN, which
     # flags the eigenpairs as untrustworthy below; no warning is needed
     with np.errstate(over="ignore", invalid="ignore"):
         values, vectors = np.linalg.eig(m)
         # LAPACK splits a defective multiple root by about sqrt(eps); each
         # value joins the first value within tol of it
-        tol = _CLUSTER_TOL * max(1.0, float(np.abs(values).max()))
-        leaders = (np.abs(values[:, None] - values[None, :]) <= tol).argmax(axis=1)
-        degenerate = False
-        for leader in np.flatnonzero(np.bincount(leaders) > 1):
-            members = np.flatnonzero(leaders == leader)
-            # the cluster mean cancels the leading error of the split values
-            root = values[members].mean()
-            vecs, nullity = _null_space_vectors(m - root * np.eye(n), len(members))
-            values[members] = root
-            vectors[:, members] = vecs
-            degenerate = degenerate or nullity < len(members)
+        tol = _CLUSTER_TOL * np.maximum(1.0, np.abs(values).max(axis=1))
+        close = np.abs(values[:, :, None] - values[:, None, :]) <= tol[:, None, None]
+        leaders = close.argmax(axis=2)
+        degenerate = np.zeros(len(m), dtype=bool)
+        for i in np.flatnonzero((leaders != np.arange(n)).any(axis=1) & (scale > 0.0)):
+            for leader in np.flatnonzero(np.bincount(leaders[i]) > 1):
+                members = np.flatnonzero(leaders[i] == leader)
+                # the cluster mean cancels the leading error of the split values
+                root = values[i, members].mean()
+                vecs, nullity = _null_space_vectors(m[i] - root * np.eye(n), len(members))
+                values[i, members] = root
+                vectors[i][:, members] = vecs
+                degenerate[i] |= nullity < len(members)
         order = np.lexsort((values.imag, values.real))
-        values = values[order]
-        vectors = vectors[:, order]
-        residual = float(np.linalg.norm(m @ vectors - vectors * values, axis=0).max())
-    if not residual <= _RESIDUAL_TOL * max(1.0, scale):
-        degenerate = True
+        values = np.take_along_axis(values, order, axis=1)
+        vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
+        residual = np.linalg.norm(m @ vectors - vectors * values[:, None, :], axis=1).max(axis=1)
+    degenerate |= ~(residual <= _RESIDUAL_TOL * np.maximum(1.0, scale))
+    zero = scale == 0.0
+    values[zero] = 0.0
+    vectors[zero] = np.eye(n)
+    degenerate[zero] = False
     return Eigensystem(values, vectors, degenerate)
 
 
@@ -259,100 +269,104 @@ def _expm_pade(a: CMatrix) -> CMatrix:
     return result
 
 
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """1-norm (largest absolute column sum) of every matrix of a stack."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def _eigen_amps(es: Eigensystem, amps0: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i h t) amps0 for every matrix h of a stacked eigensystem and
+    every t in ``times``, shape (k, len(times), n), and the (k,) mask of
+    the matrices whose eigenpairs are trusted; the rows of the others are NaN.
+
+    A matrix is trusted if it is not ``degenerate`` and the 1-norm
+    condition number ||V||_1 ||V^-1||_1 of its eigenvector matrix V is at
+    most ``_EXPM_COND_LIMIT``.  Each amplitude vector is its own product
+    of V with the phased coefficients, so its bits do not depend on how
+    many matrices or times are computed with it.
+    """
+    try:
+        inverse = np.linalg.inv(es.vectors)
+    except np.linalg.LinAlgError:
+        # an exactly singular V somewhere in the stack; NaN fails the cond test
+        inverse = np.full_like(es.vectors, np.nan)
+    # overflow and NaN are left to the caller's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        trusted = ~es.degenerate & (_norm1(es.vectors) * _norm1(inverse) <= _EXPM_COND_LIMIT)
+        phases = np.exp(-1j * times[:, None] * es.values[:, None, :])
+        coeffs = inverse @ amps0
+        amps = (es.vectors[:, None] @ (phases * coeffs[:, None, :])[..., None])[..., 0]
+    amps[~trusted] = np.nan
+    return amps, trusted
+
+
 def propagate_expm(h: CMatrix, s0: State, grid: TimeGrid) -> Trajectory:
     """Evolve s0 with amplitudes exp(-i h (t - t_start)) s0 on the grid.
 
     Uses the eigen-decomposition of h; if the eigenvector matrix is
-    defective or has condition number above 1e8, each grid point falls
-    back to a scaling-and-squaring Pade exponential.  Raises ValueError
-    if an amplitude is not finite, e.g. after an overflow.
+    defective or has 1-norm condition number above 1e8, each grid point
+    falls back to a scaling-and-squaring Pade exponential.  Raises
+    ValueError if an amplitude is not finite, e.g. after an overflow.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.shape != (s0.basis.dim, s0.basis.dim):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match basis {s0.basis.value}")
     rel_times = grid.times() - grid.t_start
 
-    es = eigensystem(h)
-    use_eigen = not es.degenerate and np.linalg.cond(es.vectors) <= _EXPM_COND_LIMIT
-    # overflow and NaN are reported once, by the finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
-        if use_eigen:
-            coeffs = np.linalg.solve(es.vectors, s0.amps)
-            phases = np.exp(-1j * np.outer(rel_times, es.values))
-            amps = (phases * coeffs) @ es.vectors.T
-        else:
+    amps, trusted = _eigen_amps(eigensystem(h[None]), s0.amps, rel_times)
+    if trusted[0]:
+        amps = amps[0]
+    else:
+        # overflow and NaN are reported once, by the finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
             amps = np.array([_expm_pade(-1j * h * t) @ s0.amps for t in rel_times])
     return Trajectory(grid, s0.basis, amps, _ionization_values(amps))
 
 
 def _detuning_stack(h0: CMatrix, deltas: np.ndarray) -> np.ndarray:
-    """``h0 + delta * E`` for every delta, where E is 1 on the excited
-    diagonal entries (the second half of the basis) and 0 elsewhere.
+    """``h0`` with each delta in ``deltas`` added to the real parts of its
+    excited diagonal entries (the second half of the basis).
 
-    Every builder in ``model`` puts the detuning there and nowhere else,
-    so with ``h0`` built at delta = 0 each slice is the builder's matrix
-    at that detuning, to roundoff.
+    Every builder in ``model`` adds the detuning last, and only there.
+    With ``h0`` built at delta = -0.0, which adds nothing to any entry,
+    each slice is therefore the builder's matrix at that detuning, bit
+    for bit, except where the builder overflows near the float limit.
     """
     n = h0.shape[0]
-    # a float mask: a bool one adds a cast that touches 64 KB of numpy
-    # code no other path uses, which shows in the peak RSS
-    return h0 + deltas[:, None, None] * np.diag(np.repeat([0.0, 1.0], n // 2))
-
-
-def _propagate_block(stack: np.ndarray, amps0: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ionization of exp(-i h t) amps0 for every h in ``stack``, from one
-    stacked eigen-decomposition, and a mask of the points it can be
-    trusted on.
-
-    A point is trusted only if its eigenvalues are separated by more
-    than the cluster tolerance of ``eigensystem``, its eigen-residual
-    passes the same check, its eigenvector condition number is within
-    ``_EXPM_COND_LIMIT`` and its result is finite.  If LAPACK fails on
-    the stack, no point is trusted.
-    """
-    count, n, _ = stack.shape
-    try:
-        values, vectors = np.linalg.eig(stack)
-        coeffs = np.linalg.solve(vectors, np.broadcast_to(amps0, (count, n))[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        return np.zeros(count), np.zeros(count, dtype=bool)
-    # overflow and NaN are caught by the mask, not reported
-    with np.errstate(over="ignore", invalid="ignore"):
-        amps = (vectors @ (np.exp(-1j * t * values) * coeffs)[..., None])[..., 0]
-        ion = _ionization_values(amps)
-        gaps = np.abs(values[:, :, None] - values[:, None, :]) + np.diag(np.full(n, np.inf))
-        separated = gaps.min(axis=(1, 2)) > _CLUSTER_TOL * np.maximum(1.0, np.abs(values).max(axis=1))
-        residual = np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=1).max(axis=1)
-        scale = np.abs(stack).max(axis=(1, 2))
-        trusted = (
-            separated
-            & (residual <= _RESIDUAL_TOL * np.maximum(1.0, scale))
-            & (np.linalg.cond(vectors) <= _EXPM_COND_LIMIT)
-            & np.isfinite(ion)
-        )
-    return ion, trusted
+    stack = np.repeat(h0[None], deltas.size, axis=0)
+    # a strided view: fancy indexing raises the peak RSS of scan runs
+    stack.reshape(deltas.size, n * n)[:, n * n // 2 + n // 2 :: n + 1].real += deltas[:, None]
+    return stack
 
 
 def _scan_ionization(p: Params, model: str, init, deltas: np.ndarray, t_obs: float) -> np.ndarray:
-    """Ionization at ``t_obs`` for every detuning in ``deltas``.
+    """Ionization at ``t_obs`` for every detuning in ``deltas``, bit for
+    bit as ``evolve`` computes it.
 
     The detunings are propagated ``_SCAN_BLOCK`` at a time, each block
-    through one stacked eigen-decomposition of ``_detuning_stack``.  A
-    point the block does not trust is propagated alone by
-    ``propagate_expm`` on the builder's matrix, exactly as ``evolve``
-    would propagate it, so clustered roots and exceptional points keep
-    the cluster pass and the Pade fallback.  Raises RuntimeError naming
-    the detuning if that propagation fails.
+    through one stacked ``eigensystem`` of ``_detuning_stack`` and the
+    kernel that ``propagate_expm`` runs.  A point the kernel does not
+    trust, or whose result is not finite, is propagated alone by
+    ``propagate_expm`` on the builder's matrix, with its Pade fallback;
+    so is every point of a block that LAPACK fails on.  Raises
+    RuntimeError naming the detuning if that propagation fails.
     """
     s0 = _initial_state(model, init)
-    h0 = build_hamiltonian(replace(p, delta=0.0), model)
+    h0 = build_hamiltonian(replace(p, delta=-0.0), model)
     grid = TimeGrid(0.0, t_obs, 2)
+    times = grid.times()[1:]
     values = np.empty(deltas.size)
     for start in range(0, deltas.size, _SCAN_BLOCK):
         block = deltas[start : start + _SCAN_BLOCK]
-        ion, trusted = _propagate_block(_detuning_stack(h0, block), s0.amps, t_obs)
+        try:
+            amps, _ = _eigen_amps(eigensystem(_detuning_stack(h0, block)), s0.amps, times)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ion = _ionization_values(amps[:, 0])
+        except (ValueError, np.linalg.LinAlgError):
+            # a detuning overflowed an entry, or LAPACK failed on the block
+            ion = np.full(block.size, np.nan)
         values[start : start + block.size] = ion
-        for k in np.flatnonzero(~trusted):
+        for k in np.flatnonzero(~np.isfinite(ion)):
             d = float(block[k])
             try:
                 traj = propagate_expm(build_hamiltonian(replace(p, delta=d), model), s0, grid)
@@ -425,13 +439,15 @@ def _error_norm(diff: np.ndarray, scale: np.ndarray) -> float:
     return math.sqrt(np.vdot(q, q).real / q.size)
 
 
-def _initial_step(deriv, t0: float, y0: np.ndarray, f0: np.ndarray, tol: float, span: float) -> float:
+def _initial_step(m: np.ndarray, y0: np.ndarray, tol: float, span: float) -> float:
+    """First step size for c' = Mc from c(0) = y0 (Hairer, Norsett and
+    Wanner, Solving ODEs I, sec. II.4)."""
+    f0 = m @ y0
     scale = tol + tol * np.abs(y0)
     d0 = float(np.sqrt(np.mean(np.abs(y0 / scale) ** 2)))
     d1 = float(np.sqrt(np.mean(np.abs(f0 / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + h0 * f0
-    f1 = deriv(t0 + h0, y1)
+    f1 = m @ (y0 + h0 * f0)
     d2 = float(np.sqrt(np.mean(np.abs((f1 - f0) / scale) ** 2))) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -464,10 +480,6 @@ def integrate(h: CMatrix, s0: State, grid: TimeGrid, tol: float = 1e-10) -> Traj
     if h.shape != (n, n):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match basis {s0.basis.value}")
     m = -1j * h
-
-    def deriv(_t: float, y: np.ndarray) -> np.ndarray:
-        return m @ y
-
     # z^p = (step nu)^p (M / nu)^p; the step and error rows of ``table``
     # are the coefficients of (step nu)^p
     nu = max(1.0, float(np.abs(m).sum(axis=0).max()))
@@ -491,7 +503,7 @@ def integrate(h: CMatrix, s0: State, grid: TimeGrid, tol: float = 1e-10) -> Traj
 
     t = grid.t_start
     y = s0.amps.copy()
-    step = _initial_step(deriv, t, y, deriv(t, y), tol, span)
+    step = _initial_step(m, y, tol, span)
     err_prev = 1e-4
 
     while next_out < len(out_times):

@@ -16,6 +16,11 @@ Conventions used throughout the package:
   transpose).  The anti-Hermitian part is negative semidefinite, so the
   norm of a propagated state can only decrease; the loss is the
   ionization probability.
+* The detuning ``delta`` enters only the real parts of the excited
+  diagonal entries, each as one final rounded addition: short of
+  overflow, such an entry is bit for bit its value at delta = -0.0
+  (which adds nothing) plus delta.  A detuning scan builds its stack of
+  matrices that way.
 """
 
 from __future__ import annotations
@@ -106,8 +111,7 @@ def effective_hamiltonian(p: Params) -> CMatrix:
             [p.q_gg * gg, -2.0 * p.stark_g, p.q_eg * geg, p.q_eg * geg],
             [p.q_eg * geg, p.q_eg * geg, -2.0 * de, p.q_ee * ge],
             [p.q_eg * geg, p.q_eg * geg, p.q_ee * ge, -2.0 * de],
-        ],
-        dtype=np.complex128,
+        ]
     )
     h1 = np.array(
         [
@@ -115,10 +119,11 @@ def effective_hamiltonian(p: Params) -> CMatrix:
             [gg, gg, geg, geg],
             [geg, geg, ge, ge],
             [geg, geg, ge, ge],
-        ],
-        dtype=np.complex128,
+        ]
     )
-    return -0.5 * (h0 + 1j * h1)
+    # real h0 and h1 keep the real part free of h1 and the imaginary part
+    # free of h0, signed zeros included
+    return -0.5 * h0 - 0.5j * h1
 
 
 def bright_hamiltonian(p: Params) -> CMatrix:
@@ -132,7 +137,7 @@ def bright_hamiltonian(p: Params) -> CMatrix:
     return np.array(
         [
             [p.stark_g - 0.5 * (p.q_gg + 2j) * p.gamma_g, coupling],
-            [coupling, p.delta + p.stark_e - 0.5 * (p.q_ee + 2j) * p.gamma_e],
+            [coupling, p.stark_e - 0.5 * (p.q_ee + 2j) * p.gamma_e + p.delta],
         ],
         dtype=np.complex128,
     )
@@ -180,13 +185,13 @@ def nondegenerate_hamiltonian(p: Params) -> CMatrix:
     """
     gg, ge, geg = p.gamma_g, p.gamma_e, p.gamma_eg
     g_diag = p.stark_g - 0.5j * gg
-    e_diag = p.delta + p.stark_e - 0.5j * ge
+    e_diag = p.stark_e - 0.5j * ge
     g_off = -0.5 * (p.q_gg + 1j) * gg
     e_off = -0.5 * (p.q_ee + 1j) * ge
     coupling = -0.5 * (p.q_eg + 1j) * geg
     h = np.empty((4, 4), dtype=np.complex128)
     h[:2, :2] = [[g_diag, g_off], [g_off, g_diag + p.shift_g]]
-    h[2:, 2:] = [[e_diag, e_off], [e_off, e_diag + p.shift_e]]
+    h[2:, 2:] = [[e_diag + p.delta, e_off], [e_off, e_diag + p.shift_e + p.delta]]
     h[:2, 2:] = coupling
     h[2:, :2] = coupling
     return h

@@ -199,9 +199,32 @@ class TestEigensystem:
                     ref = scipy.linalg.expm(-1j * h * t) @ s0.amps
                     assert np.abs(s.amps - ref).max() < 1e-10
 
+    def test_stack_equals_per_matrix_calls(self):
+        """A stack holding a defective, a semisimple, a random, the identity
+        and the zero matrix: each gets the bits of its own call."""
+        p = Params(gamma_g=1, gamma_e=4, stark_g=0.5, stark_e=0.25, q_gg=1, q_eg=0.75, q_ee=0.5)
+        rng = np.random.default_rng(3)
+        stack = np.array(
+            [
+                effective_hamiltonian(dataclasses.replace(p, delta=4.75)),  # exceptional point
+                effective_hamiltonian(dataclasses.replace(p, delta=-0.25)),  # semisimple double root
+                _random_matrix(rng, 4),
+                np.eye(4),
+                np.zeros((4, 4)),
+            ]
+        )
+        es = eigensystem(stack)
+        assert es.degenerate.tolist() == [True, False, False, False, False]
+        for k, m in enumerate(stack):
+            one = eigensystem(m)
+            assert one.degenerate is bool(es.degenerate[k])
+            assert np.array_equal(es.values[k].view(np.uint64), one.values.view(np.uint64))
+            assert np.array_equal(es.vectors[k].view(np.uint64), one.vectors.view(np.uint64))
+
     def test_unsupported_shape_rejected(self):
-        with pytest.raises(ValueError):
-            eigensystem(np.eye(3, dtype=complex))
+        for shape in ((3, 3), (4,), (2, 2, 4), (2, 4, 4, 4)):
+            with pytest.raises(ValueError, match="expected a 2x2 or 4x4 matrix"):
+                eigensystem(np.ones(shape, dtype=complex))
 
 
 class TestPropagateExpm:
