@@ -232,8 +232,8 @@ def write_csv(data: Trajectory | FanoProfile, path) -> None:
         amps = np.ascontiguousarray(data.amps)
         if amps.shape[1] == 2:
             amps = np.hstack([amps, np.zeros_like(amps)])
-        # Python's abs and libm's pow keep the digits stable: np.abs and x * x differ in the last bit
-        pops = np.float_power(np.fromiter(map(abs, amps.ravel().tolist()), float), 2.0).reshape(amps.shape)
+        # hypot (Python's abs) and libm's pow keep the digits stable: np.abs and x * x differ in the last bit
+        pops = np.float_power(np.hypot(amps.real, amps.imag), 2.0)
         table = np.column_stack([data.times, amps.view(np.float64), pops, data.ionization])
         _write_rows(path, TRAJECTORY_HEADER, table)
     elif isinstance(data, FanoProfile):

@@ -5,9 +5,11 @@ i dc/dt = H c:
 
 * ``propagate_expm``: exact exponential through an eigen-decomposition
   whose eigenpairs come from LAPACK, with a scaling-and-squaring Pade
-  fallback for defective or ill-conditioned cases (``_scan_ionization``
-  runs the same ``eigensystem`` and kernel over a whole detuning scan, a
-  stack of matrices per LAPACK call, and gets the same bits);
+  fallback where their eigenvector condition number exceeds 1e6, as
+  near an exceptional point, or their residual is large
+  (``_scan_ionization`` runs the same ``eigensystem`` and kernel over a
+  whole detuning scan, a stack of matrices per LAPACK call, and gets the
+  same bits);
 * ``integrate``: an embedded Dormand-Prince 5(4) Runge-Kutta solver with
   PI step control and dense output, its seven stages evaluated as one
   precomputed polynomial in step·M (M = -i h) per step;
@@ -58,12 +60,10 @@ __all__ = [
 MODELS = ("four_state", "bright2", "twolevel2", "nondegenerate4")
 INITS = ("bright", "g1", "g2")
 
-# eigenvector matrices worse conditioned than this are not trusted for
-# propagation and trigger the Pade fallback
-_EXPM_COND_LIMIT = 1e8
-# eigenvalues within this of each other, relative to max(1, |lambda|max),
-# are one multiple root
-_CLUSTER_TOL = 1e-7
+# eigenvector matrices worse conditioned than this mark the matrix as
+# degenerate: the eigen route's error grows as eps·cond(V), and LAPACK's
+# vectors at an exceptional point reach a 1-norm condition of 2e7 to 1e8
+_EXPM_COND_LIMIT = 1e6
 # an eigen-residual above this, relative to max(1, max |entry|), marks the
 # eigenpairs as untrustworthy
 _RESIDUAL_TOL = 1e-6
@@ -145,15 +145,17 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Eigensystem:
-    """Eigenvalues (sorted by real part, then imaginary part) and right
-    eigenvectors (as columns).  ``degenerate`` flags a defective matrix:
-    the eigenvalues are still valid but the vectors do not span.  For a
+    """Eigenvalues (sorted by real part, then imaginary part), right
+    eigenvectors V (as columns) and V's ``inverse``.  ``degenerate``
+    flags eigenpairs not trusted for propagation, such as those of a
+    nearly defective matrix: the eigenvalues are still valid.  For a
     (k, n, n) stack each field gains a leading axis of length k, and
     ``degenerate`` is a (k,) mask."""
 
     values: np.ndarray
     vectors: np.ndarray
     degenerate: bool | np.ndarray
+    inverse: np.ndarray
 
 
 def _ionization_values(amps: np.ndarray) -> np.ndarray:
@@ -167,70 +169,57 @@ def _ionization_values(amps: np.ndarray) -> np.ndarray:
 # eigen-solver
 
 
-def _null_space_vectors(a: CMatrix, count: int) -> tuple[np.ndarray, int]:
-    """Orthonormal (approximate) null-space basis, best ``count`` vectors."""
-    _, sv, vh = np.linalg.svd(a)
-    nullity = int((sv <= 1e-8 * max(sv[0], 1e-300)).sum())
-    vecs = vh[::-1][:count].conj().T
-    return vecs, nullity
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """1-norm (largest absolute column sum) of every matrix of a stack."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def _inverses(vectors: np.ndarray) -> np.ndarray:
+    """V^-1 of every matrix of a stack from one batched call; only if
+    some V is exactly singular one by one, with NaN for the singular."""
+    try:
+        return np.linalg.inv(vectors)
+    except np.linalg.LinAlgError:
+        if len(vectors) == 1:
+            return np.full_like(vectors, np.nan)
+        return np.concatenate([_inverses(v[None]) for v in vectors])
 
 
 def eigensystem(m: CMatrix) -> Eigensystem:
     """Eigenvalues and right eigenvectors of a 2x2 or 4x4 complex matrix,
     or of every matrix of a (k, n, n) stack through one LAPACK call.
 
-    LAPACK (``np.linalg.eig``) supplies the eigenpairs.  Eigenvalues
-    within 1e-7 (relative) of each other are reported as one multiple
-    root, their mean, with vectors spanning the numerical null space of
-    ``m - value``; a null space thinner than the multiplicity flags the
-    matrix as defective.  Only the matrices of a stack that have such a
-    cluster run this pass.  Results are sorted by real part (ties by
-    imaginary part) so repeated runs are reproducible, and each matrix of
-    a stack gets the same bits as it gets alone.
+    LAPACK (``np.linalg.eig``) supplies the eigenpairs, sorted by real
+    part (ties by imaginary part); each matrix of a stack gets the same
+    bits as it gets alone.  A matrix is ``degenerate`` if the 1-norm
+    condition number ||V||_1 ||V^-1||_1 of its eigenvectors exceeds 1e6,
+    as near a defective multiple root, or its eigen-residual exceeds 1e-6
+    relative to max(1, max |entry|) or overflows.
 
-    Raises ValueError if an entry is not finite.  A residual that
-    overflows near the float limit flags the matrix as ``degenerate``.
+    Raises ValueError if an entry is not finite.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.shape[-1] not in (2, 4):
         raise ValueError(f"expected a 2x2 or 4x4 matrix or a stack of them, got shape {m.shape}")
     if m.ndim == 2:
         es = eigensystem(m[None])
-        return Eigensystem(es.values[0], es.vectors[0], bool(es.degenerate[0]))
+        return Eigensystem(es.values[0], es.vectors[0], bool(es.degenerate[0]), es.inverse[0])
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
 
-    n = m.shape[-1]
     scale = np.abs(m).max(axis=(1, 2))
-    # near the float limit the residual overflows to inf or NaN, which
-    # flags the eigenpairs as untrustworthy below; no warning is needed
+    # an overflowing residual or inverse marks the matrix below; no
+    # warning is needed
     with np.errstate(over="ignore", invalid="ignore"):
         values, vectors = np.linalg.eig(m)
-        # LAPACK splits a defective multiple root by about sqrt(eps); each
-        # value joins the first value within tol of it
-        tol = _CLUSTER_TOL * np.maximum(1.0, np.abs(values).max(axis=1))
-        close = np.abs(values[:, :, None] - values[:, None, :]) <= tol[:, None, None]
-        leaders = close.argmax(axis=2)
-        degenerate = np.zeros(len(m), dtype=bool)
-        for i in np.flatnonzero((leaders != np.arange(n)).any(axis=1) & (scale > 0.0)):
-            for leader in np.flatnonzero(np.bincount(leaders[i]) > 1):
-                members = np.flatnonzero(leaders[i] == leader)
-                # the cluster mean cancels the leading error of the split values
-                root = values[i, members].mean()
-                vecs, nullity = _null_space_vectors(m[i] - root * np.eye(n), len(members))
-                values[i, members] = root
-                vectors[i][:, members] = vecs
-                degenerate[i] |= nullity < len(members)
         order = np.lexsort((values.imag, values.real))
         values = np.take_along_axis(values, order, axis=1)
         vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
         residual = np.linalg.norm(m @ vectors - vectors * values[:, None, :], axis=1).max(axis=1)
-    degenerate |= ~(residual <= _RESIDUAL_TOL * np.maximum(1.0, scale))
-    zero = scale == 0.0
-    values[zero] = 0.0
-    vectors[zero] = np.eye(n)
-    degenerate[zero] = False
-    return Eigensystem(values, vectors, degenerate)
+        inverse = _inverses(vectors)
+        cond = _norm1(vectors) * _norm1(inverse)
+    degenerate = ~(residual <= _RESIDUAL_TOL * np.maximum(1.0, scale)) | ~(cond <= _EXPM_COND_LIMIT)
+    return Eigensystem(values, vectors, degenerate, inverse)
 
 
 def eigenvalues(m: CMatrix) -> np.ndarray:
@@ -269,53 +258,41 @@ def _expm_pade(a: CMatrix) -> CMatrix:
     return result
 
 
-def _norm1(a: np.ndarray) -> np.ndarray:
-    """1-norm (largest absolute column sum) of every matrix of a stack."""
-    return np.abs(a).sum(axis=-2).max(axis=-1)
-
-
-def _eigen_amps(es: Eigensystem, amps0: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigen_amps(es: Eigensystem, amps0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(-i h t) amps0 for every matrix h of a stacked eigensystem and
-    every t in ``times``, shape (k, len(times), n), and the (k,) mask of
-    the matrices whose eigenpairs are trusted; the rows of the others are NaN.
+    every t in ``times``, shape (k, len(times), n); the rows of the
+    ``degenerate`` matrices are NaN.
 
-    A matrix is trusted if it is not ``degenerate`` and the 1-norm
-    condition number ||V||_1 ||V^-1||_1 of its eigenvector matrix V is at
-    most ``_EXPM_COND_LIMIT``.  Each amplitude vector is its own product
-    of V with the phased coefficients, so its bits do not depend on how
-    many matrices or times are computed with it.
+    Each amplitude vector is its own product of V with the phased
+    coefficients V^-1 amps0, so its bits do not depend on how many
+    matrices or times are computed with it.
     """
-    try:
-        inverse = np.linalg.inv(es.vectors)
-    except np.linalg.LinAlgError:
-        # an exactly singular V somewhere in the stack; NaN fails the cond test
-        inverse = np.full_like(es.vectors, np.nan)
     # overflow and NaN are left to the caller's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        trusted = ~es.degenerate & (_norm1(es.vectors) * _norm1(inverse) <= _EXPM_COND_LIMIT)
         phases = np.exp(-1j * times[:, None] * es.values[:, None, :])
-        coeffs = inverse @ amps0
+        coeffs = es.inverse @ amps0
         amps = (es.vectors[:, None] @ (phases * coeffs[:, None, :])[..., None])[..., 0]
-    amps[~trusted] = np.nan
-    return amps, trusted
+    amps[es.degenerate] = np.nan
+    return amps
 
 
 def propagate_expm(h: CMatrix, s0: State, grid: TimeGrid) -> Trajectory:
     """Evolve s0 with amplitudes exp(-i h (t - t_start)) s0 on the grid.
 
-    Uses the eigen-decomposition of h; if the eigenvector matrix is
-    defective or has 1-norm condition number above 1e8, each grid point
-    falls back to a scaling-and-squaring Pade exponential.  Raises
-    ValueError if an amplitude is not finite, e.g. after an overflow.
+    Uses the eigen-decomposition of h; if it is ``degenerate`` (for
+    instance, the eigenvector matrix has 1-norm condition number above
+    1e6), each grid point falls back to a scaling-and-squaring Pade
+    exponential.  Raises ValueError if an amplitude is not finite, e.g.
+    after an overflow.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.shape != (s0.basis.dim, s0.basis.dim):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match basis {s0.basis.value}")
     rel_times = grid.times() - grid.t_start
 
-    amps, trusted = _eigen_amps(eigensystem(h[None]), s0.amps, rel_times)
-    if trusted[0]:
-        amps = amps[0]
+    es = eigensystem(h[None])
+    if not es.degenerate[0]:
+        amps = _eigen_amps(es, s0.amps, rel_times)[0]
     else:
         # overflow and NaN are reported once, by the finiteness check
         with np.errstate(over="ignore", invalid="ignore"):
@@ -339,6 +316,13 @@ def _detuning_stack(h0: CMatrix, deltas: np.ndarray) -> np.ndarray:
     return stack
 
 
+def _norm_kept(ionization: np.ndarray, s0: State) -> np.ndarray:
+    """False where ``ionization`` is NaN or below that of ``s0`` by more
+    than roundoff (1e-9).  Every builder's Hamiltonian can only lose
+    norm, so a gain means the propagation lost the decay rates."""
+    return ionization >= _ionization_values(s0.amps) - 1e-9
+
+
 def _scan_ionization(p: Params, model: str, init, deltas: np.ndarray, t_obs: float) -> np.ndarray:
     """Ionization at ``t_obs`` for every detuning in ``deltas``, bit for
     bit as ``evolve`` computes it.
@@ -346,10 +330,10 @@ def _scan_ionization(p: Params, model: str, init, deltas: np.ndarray, t_obs: flo
     The detunings are propagated ``_SCAN_BLOCK`` at a time, each block
     through one stacked ``eigensystem`` of ``_detuning_stack`` and the
     kernel that ``propagate_expm`` runs.  A point the kernel does not
-    trust, or whose result is not finite, is propagated alone by
-    ``propagate_expm`` on the builder's matrix, with its Pade fallback;
-    so is every point of a block that LAPACK fails on.  Raises
-    RuntimeError naming the detuning if that propagation fails.
+    trust, or whose result is not finite or gains norm, is run alone by
+    ``evolve``, with its Pade fallback and its norm check; so is every
+    point of a block that LAPACK fails on.  Raises RuntimeError naming
+    the detuning if that run fails.
     """
     s0 = _initial_state(model, init)
     h0 = build_hamiltonian(replace(p, delta=-0.0), model)
@@ -359,20 +343,19 @@ def _scan_ionization(p: Params, model: str, init, deltas: np.ndarray, t_obs: flo
     for start in range(0, deltas.size, _SCAN_BLOCK):
         block = deltas[start : start + _SCAN_BLOCK]
         try:
-            amps, _ = _eigen_amps(eigensystem(_detuning_stack(h0, block)), s0.amps, times)
+            amps = _eigen_amps(eigensystem(_detuning_stack(h0, block)), s0.amps, times)
             with np.errstate(over="ignore", invalid="ignore"):
                 ion = _ionization_values(amps[:, 0])
         except (ValueError, np.linalg.LinAlgError):
             # a detuning overflowed an entry, or LAPACK failed on the block
             ion = np.full(block.size, np.nan)
         values[start : start + block.size] = ion
-        for k in np.flatnonzero(~np.isfinite(ion)):
+        for k in np.flatnonzero(~_norm_kept(ion, s0)):
             d = float(block[k])
             try:
-                traj = propagate_expm(build_hamiltonian(replace(p, delta=d), model), s0, grid)
+                values[start + k] = evolve(replace(p, delta=d), model, init, grid).ionization[-1]
             except (ValueError, np.linalg.LinAlgError) as exc:
                 raise RuntimeError(f"propagation failed at delta = {d:.12g}") from exc
-            values[start + k] = traj.ionization[-1]
     return values
 
 
@@ -636,7 +619,9 @@ def evolve(p: Params, model: str, init, grid: TimeGrid) -> Trajectory:
 
     ``model`` is one of ``MODELS``; ``init`` one of ``INITS`` or a State
     in a basis compatible with the model.  Constant Hamiltonians are
-    propagated exactly via ``propagate_expm``.
+    propagated exactly via ``propagate_expm``.  Raises ValueError if
+    the ionization falls more than 1e-9 below its initial value: these
+    Hamiltonians can only lose norm.
 
     Four-state trajectories are reported in the bright/dark basis, mapped
     by one stacked product over all samples, with the original-basis
@@ -645,6 +630,8 @@ def evolve(p: Params, model: str, init, grid: TimeGrid) -> Trajectory:
     h = build_hamiltonian(p, model)
     s0 = _initial_state(model, init)
     traj = propagate_expm(h, s0, grid)
+    if not _norm_kept(traj.ionization, s0).all():
+        raise ValueError(f"the norm grew during propagation: ionization fell to {traj.ionization.min():.3g}")
     if model in ("four_state", "nondegenerate4"):
         # stacked products are bit-identical to a per-row map; amps @ M.T is not
         bright_dark = (_BRIGHT_DARK_MAP @ traj.amps[:, :, None])[..., 0]

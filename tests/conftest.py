@@ -1,7 +1,11 @@
 """Shared fixtures: reference parameter sets and random-parameter helpers."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from lics import Params
@@ -56,3 +60,37 @@ params_strategy = st.builds(
     q_eg=_q,
     delta=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False),
 )
+
+
+@st.composite
+def ep_params_strategy(draw) -> Params:
+    """Parameters on the exceptional-point manifold of the bright pair,
+    gamma_e - gamma_g = 2 q_eg sqrt(gamma_g gamma_e), with the detuning at
+    its exceptional point or a signed relative offset of 1e-16 to 1e-8
+    from it.  There the pair's eigenvalues coincide and its eigenvectors
+    coalesce (Heiss, J. Phys. A 45 (2012) 444016)."""
+    gamma_g = draw(st.floats(min_value=0.1, max_value=16.0))
+    q_eg = draw(st.floats(min_value=-5.0, max_value=5.0))
+    # sqrt(gamma_e / gamma_g) = q_eg + sqrt(q_eg^2 + 1), written without cancellation
+    root = math.hypot(q_eg, 1.0)
+    ratio = q_eg + root if q_eg >= 0.0 else 1.0 / (root - q_eg)
+    gamma_e = gamma_g * ratio**2
+    assume(gamma_e <= 40.0)
+    p = Params(
+        gamma_g=gamma_g,
+        gamma_e=gamma_e,
+        stark_g=draw(st.floats(min_value=-1.0, max_value=1.0)),
+        stark_e=draw(st.floats(min_value=-1.0, max_value=1.0)),
+        q_gg=draw(st.floats(min_value=-5.0, max_value=5.0)),
+        q_ee=draw(st.floats(min_value=-5.0, max_value=5.0)),
+        q_eg=q_eg,
+    )
+    # the bright block's double root: a - d = -2 (1 - i q_eg) gamma_eg
+    delta_ep = (
+        p.stark_g - p.stark_e - 0.5 * p.q_gg * p.gamma_g + 0.5 * p.q_ee * p.gamma_e + 2.0 * p.gamma_eg
+    )
+    offset = draw(
+        st.just(0.0)
+        | st.builds(lambda sign, u: sign * 10.0**u, st.sampled_from([-1.0, 1.0]), st.floats(-16.0, -8.0))
+    )
+    return dataclasses.replace(p, delta=delta_ep + offset * max(1.0, abs(delta_ep)))

@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import STRONG, make_random_params, params_strategy
+from conftest import STRONG, ep_params_strategy, make_random_params, params_strategy
 from lics import (
     INITS,
     MODELS,
@@ -242,6 +242,50 @@ class TestScanKernel:
             h = build_hamiltonian(dataclasses.replace(p, delta=float(d)), model)
             amps = scipy.linalg.expm(-6j * h) @ s0.amps
             assert abs(ion - (1.0 - np.vdot(amps, amps).real)) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=ep_params_strategy())
+    # eigenvector condition 1.9e7: a condition limit of 1e8 lets a 1.4e-9 eigen-route error through
+    @example(
+        p=Params(
+            gamma_g=15.982358650310978,
+            gamma_e=5.701331622293302,
+            stark_g=-3.1317686523264197,
+            stark_e=2.709965616653001,
+            q_gg=2.528491240054155,
+            q_ee=-1.8645358142910045,
+            q_eg=-0.5385151400138588,
+            delta=-12.27109425168779,
+        )
+    )
+    def test_routes_agree_near_exceptional_points(self, p):
+        grid = TimeGrid(0.0, 6.0, 13)
+        deltas = p.delta + np.array([-1e-2, -1e-6, 0.0, 1e-6, 1e-2])
+        for model, init in (("four_state", "bright"), ("four_state", "g1"), ("bright2", "bright")):
+            s0 = dynamics._initial_state(model, init)
+            h = build_hamiltonian(p, model)
+            traj = propagate_expm(h, s0, grid)
+            for t, amps in zip(grid.times(), traj.amps):
+                assert np.abs(amps - scipy.linalg.expm(-1j * h * t) @ s0.amps).max() < 5e-10
+            profile = fano_scan(p, deltas, 6.0, init, model)
+            ref = [
+                evolve(dataclasses.replace(p, delta=float(d)), model, init, grid).ionization[-1]
+                for d in deltas
+            ]
+            np.testing.assert_array_equal(profile.ionization, ref)
+
+    @pytest.mark.parametrize(
+        "model,init", [("nondegenerate4", "g1"), ("bright2", "bright"), ("twolevel2", "g1")]
+    )
+    def test_norm_gain_fails_naming_the_detuning(self, strong_params, model, init):
+        """At 1e200 LAPACK's eigenvalue error swamps every decay rate, and
+        the 2x2 models' overflowing residual sends the point to a Pade
+        result that gains norm too: unchecked, the ionization there reads
+        -1.07e14, -1.27e-7 and -4.5e-8."""
+        with pytest.raises(RuntimeError, match=r"delta = 1e\+200") as info:
+            fano_scan(strong_params, [0.0, 1e200], 6.0, init, model)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert "norm grew" in str(info.value.__cause__)
 
     def test_failure_names_the_detuning(self, strong_params):
         with pytest.raises(RuntimeError, match=r"delta = 1e\+154") as info:

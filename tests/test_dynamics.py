@@ -200,10 +200,13 @@ class TestEigensystem:
                     assert np.abs(s.amps - ref).max() < 1e-10
 
     def test_stack_equals_per_matrix_calls(self):
-        """A stack holding a defective, a semisimple, a random, the identity
-        and the zero matrix: each gets the bits of its own call."""
+        """A stack holding a defective, a semisimple, a random, the identity,
+        the zero matrix and a Jordan block whose LAPACK eigenvectors are
+        exactly singular: each gets the bits of its own call."""
         p = Params(gamma_g=1, gamma_e=4, stark_g=0.5, stark_e=0.25, q_gg=1, q_eg=0.75, q_ee=0.5)
         rng = np.random.default_rng(3)
+        singular = np.diag([0.0, 0.0, -1.0, 3.0])
+        singular[0, 1] = 1e100  # the second eigenvector's tail underflows to zero
         stack = np.array(
             [
                 effective_hamiltonian(dataclasses.replace(p, delta=4.75)),  # exceptional point
@@ -211,15 +214,19 @@ class TestEigensystem:
                 _random_matrix(rng, 4),
                 np.eye(4),
                 np.zeros((4, 4)),
+                singular,
             ]
         )
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(np.linalg.eig(singular)[1])
         es = eigensystem(stack)
-        assert es.degenerate.tolist() == [True, False, False, False, False]
+        assert es.degenerate.tolist() == [True, False, False, False, False, True]
         for k, m in enumerate(stack):
             one = eigensystem(m)
             assert one.degenerate is bool(es.degenerate[k])
-            assert np.array_equal(es.values[k].view(np.uint64), one.values.view(np.uint64))
-            assert np.array_equal(es.vectors[k].view(np.uint64), one.vectors.view(np.uint64))
+            for field in ("values", "vectors", "inverse"):
+                mine, alone = getattr(es, field)[k], getattr(one, field)
+                assert np.array_equal(mine.view(np.uint64), alone.view(np.uint64)), (k, field)
 
     def test_unsupported_shape_rejected(self):
         for shape in ((3, 3), (4,), (2, 2, 4), (2, 4, 4, 4)):
@@ -531,6 +538,11 @@ class TestEvolve:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="matrix entries must be finite"):
                 evolve(p, "four_state", "g1", TimeGrid(0, 1, 3))
+
+    def test_norm_gain_raises(self, strong_params):
+        p = dataclasses.replace(strong_params, delta=1e200)
+        with pytest.raises(ValueError, match="norm grew"):
+            evolve(p, "nondegenerate4", "g1", TimeGrid(0.0, 6.0, 3))
 
     def test_ionization_monotone_for_random_parameters(self):
         rng = np.random.default_rng(31)
