@@ -497,7 +497,8 @@ def main(argv=None) -> int:
             cfg = replace(cfg, tol=args.tol)
         return run(cfg)
     except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        cause = "" if exc.__cause__ is None else f": {exc.__cause__}"
+        print(f"error: {exc}{cause}", file=sys.stderr)
         return 1
 
 

@@ -449,6 +449,22 @@ class TestMain:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_error_line_names_the_cause(self, tmp_path, capsys):
+        """A failed scan point says why it failed, still on one line."""
+        config = tmp_path / "run.conf"
+        out = tmp_path / "out.csv"
+        config.write_text(
+            _cfg_text(
+                "fano", model="nondegenerate4", init="g1", delta_min=0.0, delta_max=1e200,
+                delta_steps=2, out=out,
+            )
+        )
+        assert main([str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: propagation failed at delta = 1e+200: the norm grew")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_config_file(self, capsys):
         assert main(["/nonexistent/path.conf"]) == 1
         assert "error" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -30,10 +31,10 @@ from lics import (
     to_bright_dark,
     trapping_delta,
 )
-from lics.dynamics import _RK_A, _RK_B, _RK_C, _RK_E, _RK_P, _fold_tableau
+from lics.dynamics import _RK_A, _RK_B, _RK_E3, _RK_E5, _fold_tableau
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_STEP_POLY, _ERROR_POLY, _DENSE_POLY = _fold_tableau()
+_STEP_POLY, _E5_POLY, _E3_POLY = _fold_tableau()
 
 
 def _sorted(values):
@@ -51,27 +52,34 @@ def _dissipative_hamiltonian(rng, n):
     return 0.5 * (a + a.conj().T) - 1j * (b @ b.conj().T)
 
 
-def _nested_stage_step(m, y, step, thetas):
-    """One Dormand-Prince step of c' = Mc through its seven stages, as the
-    tableau states them: the new amplitudes, the error estimate and the
-    dense output at each theta."""
-
-    def deriv(_t, c):
-        return m @ c
-
-    k = np.empty((7, y.size), dtype=np.complex128)
-    k[0] = deriv(0.0, y)
-    for i in range(1, 7):
-        k[i] = deriv(_RK_C[i] * step, y + step * (_RK_A[i] @ k[:i]))
-    dense = [y + step * (k.T @ (_RK_P @ theta ** np.arange(1, 5))) for theta in thetas]
-    return y + step * (_RK_B @ k), step * (_RK_E @ k), np.array(dense)
+def _nested_stage_step(m, y, step):
+    """One DOP853 step of c' = Mc through its twelve stages, as the tableau
+    states them: the new amplitudes and the 5th- and 3rd-order error
+    estimates."""
+    k = np.empty((len(_RK_A), y.size), dtype=np.complex128)
+    for i, a_row in enumerate(_RK_A):
+        k[i] = m @ (y + step * (a_row @ k[:i]))
+    return y + step * (_RK_B @ k), step * (_RK_E5 @ k), step * (_RK_E3 @ k)
 
 
-def _polynomial_step(m, y, step, thetas):
+def _polynomial_step(m, y, step):
     """The same step from the folded polynomials in z = step·M."""
-    u = np.array([np.linalg.matrix_power(step * m, p) @ y for p in range(8)])
-    dense = [y + (theta ** np.arange(1, 5) @ _DENSE_POLY) @ u for theta in thetas]
-    return _STEP_POLY @ u, _ERROR_POLY @ u, np.array(dense)
+    u = np.array([np.linalg.matrix_power(step * m, p) @ y for p in range(len(_STEP_POLY))])
+    return _STEP_POLY @ u, _E5_POLY @ u, _E3_POLY @ u
+
+
+def _count_step_attempts(monkeypatch):
+    """Wrap ``_error_norm``, which every step attempt calls once for each
+    of its two error estimates; the returned list holds the attempt count."""
+    attempts = [0]
+    error_norm = lics.dynamics._error_norm
+
+    def counting(diff, scale):
+        attempts[0] += 0.5
+        return error_norm(diff, scale)
+
+    monkeypatch.setattr(lics.dynamics, "_error_norm", counting)
+    return attempts
 
 
 class TestTimeGrid:
@@ -382,36 +390,87 @@ class TestIntegrate:
         exact = propagate_expm(h, s0, grid).amps
         assert np.abs(integrate(h, s0, grid, tol).amps - exact).max() < 10.0 * tol
 
+    @pytest.mark.parametrize("shift", [1e-6, 0.2])
+    def test_step_count_on_the_splitting_system(self, weak_params, monkeypatch, shift):
+        """The weak drive of configs/splitting_comparison.conf at trapping,
+        as the nondeg command integrates it: about 436 attempts, one per
+        sample interval and a few more."""
+        p = dataclasses.replace(weak_params, delta=trapping_delta(weak_params), shift_g=shift, shift_e=shift)
+        s0 = State(Basis.ORIGINAL4, [1.0, 0.0, 0.0, 0.0])
+        attempts = _count_step_attempts(monkeypatch)
+        integrate(nondegenerate_hamiltonian(p), s0, TimeGrid(0.0, 40.0, 401), tol=1e-12)
+        assert attempts[0] <= 500
+
+    def test_a_cut_does_not_shrink_the_next_step(self, monkeypatch):
+        """A first step just short of the first sample leaves a sliver, cut
+        to land on the sample; the step after it is proposed from the
+        uncut one, so each later interval takes one step."""
+        monkeypatch.setattr(lics.dynamics, "_initial_step", lambda m, y0, tol, span: 0.099 * span)
+        attempts = _count_step_attempts(monkeypatch)
+        grid = TimeGrid(0.0, 1.0, 11)
+        integrate(np.diag([1e-3 + 0j, -2e-3]), State(Basis.BRIGHT2, [1.0, 1.0]), grid, tol=1e-10)
+        assert attempts[0] == grid.n_samples
+
 
 class TestFoldedTableau:
     """The stage loop folded into polynomials in z = step·M."""
 
-    def test_step_polynomial_is_the_dp5_stability_polynomial(self):
-        expected = [1.0, 1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0.0]
-        np.testing.assert_allclose(_STEP_POLY, expected, rtol=1e-15, atol=1e-15)
-        assert _STEP_POLY[7] == 0.0
+    def test_step_polynomial_is_exp_through_the_eighth_power(self):
+        expected = [1.0 / math.factorial(p) for p in range(9)]
+        assert np.abs(_STEP_POLY[:9] - expected).max() <= 1e-15
+        assert np.abs(_STEP_POLY[9:] - [1.0 / math.factorial(p) for p in range(9, 13)]).min() > 1e-9
 
-    def test_error_polynomial_starts_at_the_fifth_power(self):
-        """Both weight sets are exact to fourth order, so their difference
-        has no terms below z^5."""
-        assert np.abs(_ERROR_POLY[:5]).max() < 1e-15
-        assert np.abs(_ERROR_POLY[5:]).min() > 1e-5
+    def test_error_polynomials_start_at_their_orders(self):
+        """The 8th-order weights agree with the 5th-order ones through z^5
+        and with the 3rd-order ones through z^3."""
+        assert np.abs(_E5_POLY[:6]).max() < 1e-14
+        assert np.abs(_E5_POLY[6:]).min() > 1e-11
+        assert np.abs(_E3_POLY[:4]).max() < 1e-14
+        assert np.abs(_E3_POLY[4:]).min() > 1e-11
 
-    def test_dense_output_ends_at_the_step(self):
-        """At theta = 1 the dense output is the step itself."""
-        np.testing.assert_allclose(_DENSE_POLY.sum(axis=0)[1:], _STEP_POLY[1:], rtol=0.0, atol=1e-15)
+    def test_coefficients_equal_scipys(self):
+        """The typed tableau against scipy's copy of the book's, which the
+        package itself never imports."""
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        assert len(_RK_A) == ref.N_STAGES
+        for i, a_row in enumerate(_RK_A):
+            np.testing.assert_array_equal(a_row, ref.A[i, :i])
+            assert not ref.A[i, i:].any()
+        np.testing.assert_array_equal(_RK_B, ref.B)
+        # the error estimates give the thirteenth stage no weight
+        np.testing.assert_array_equal(_RK_E5, ref.E5[:-1])
+        np.testing.assert_array_equal(_RK_E3, ref.E3[:-1])
+        assert ref.E5[-1] == ref.E3[-1] == 0.0
+
+    def test_every_sample_is_an_accepted_step_end(self, monkeypatch):
+        """With a first step as long as the span and errors far below
+        ``tol``, each interval between samples is one step, cut to end on
+        its sample: sample k is R(z) applied to sample k - 1, with no
+        interpolant."""
+        monkeypatch.setattr(lics.dynamics, "_initial_step", lambda m, y0, tol, span: span)
+        attempts = _count_step_attempts(monkeypatch)
+        h = np.array([[0.4 - 0.1j, 0.3], [0.3, -0.5 - 0.2j]])
+        s0 = State(Basis.BRIGHT2, [1.0, 0.0])
+        grid = TimeGrid(0.0, 3.0, 7)
+        amps = integrate(h, s0, grid, tol=1e-3).amps
+        assert attempts[0] == grid.n_samples - 1
+        powers = np.array([np.linalg.matrix_power(-0.5j * h, p) for p in range(len(_STEP_POLY))])
+        step = np.tensordot(_STEP_POLY, powers, 1)
+        np.testing.assert_allclose(amps[1:], amps[:-1] @ step.T, rtol=0.0, atol=1e-15)
+        # the check can tell R(z) from the exact propagator
+        assert np.abs(amps - propagate_expm(h, s0, grid).amps).max() > 1e-12
 
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.parametrize("z_norm", [1e-3, 0.1, 1.0, 2.0, 3.3])
     def test_one_step_matches_the_nested_stages(self, n, z_norm):
         rng = np.random.default_rng(n)
-        thetas = [0.0, 0.25, 0.5, 0.9, 1.0]
         for _ in range(5):
             m = _random_matrix(rng, n)
             y = rng.normal(size=n) + 1j * rng.normal(size=n)
             y /= np.linalg.norm(y)
             step = z_norm / np.linalg.norm(m, 2)
-            for ref, poly in zip(_nested_stage_step(m, y, step, thetas), _polynomial_step(m, y, step, thetas)):
+            for ref, poly in zip(_nested_stage_step(m, y, step), _polynomial_step(m, y, step)):
                 assert np.abs(poly - ref).max() <= 1e-13
 
 
