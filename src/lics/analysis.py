@@ -39,6 +39,9 @@ __all__ = [
     "degeneracy_validity",
 ]
 
+# default detuning window of a scan, in 1/T
+_DELTA_WINDOW = (-10.0, 10.0)
+
 
 def trapping_delta(p: Params) -> float:
     """Detuning that makes one bright eigenvalue real (closed form).
@@ -106,11 +109,11 @@ def fano_scan(p: Params, delta_grid, t_obs: float, init="bright", model: str = "
     ``eigensystem`` call and the kernel of ``propagate_expm``, so every
     value equals ``evolve(...).ionization[-1]`` at that detuning bit for
     bit.  Points where those eigenpairs are not trusted (a defective
-    root, as at an exceptional point, or ill-conditioned eigenvectors)
-    or whose result is not finite are propagated one by one by
-    ``propagate_expm``, with its Pade fallback.  Results are reported in
-    grid order; a point whose propagation fails raises RuntimeError
-    naming its detuning.
+    root, as at an exceptional point, or ill-conditioned eigenvectors),
+    or whose result is not finite or gains norm, are run one by one by
+    ``evolve``, with its Pade fallback and its norm check.  Results are
+    reported in grid order; a point whose propagation fails raises
+    RuntimeError naming its detuning.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size == 0:
@@ -127,14 +130,14 @@ def fano_scan(p: Params, delta_grid, t_obs: float, init="bright", model: str = "
     return FanoProfile(deltas, values, float(t_obs), model, init_tag)
 
 
-def default_delta_grid(p: Params, lo: float = -10.0, hi: float = 10.0, n: int = 2001) -> np.ndarray:
-    """Scan window [lo, hi], widened if needed to bracket the trapping value."""
+def default_delta_grid(p: Params, n: int = 2001) -> np.ndarray:
+    """Scan window ``_DELTA_WINDOW``, widened if needed to bracket the
+    trapping value."""
     if n > _MAX_GRID_POINTS:
         raise ValueError(f"n must be at most {_MAX_GRID_POINTS}, got {n}")
     trap = trapping_delta(p)
-    lo = min(lo, trap - 1.0)
-    hi = max(hi, trap + 1.0)
-    return np.linspace(lo, hi, n)
+    lo, hi = _DELTA_WINDOW
+    return np.linspace(min(lo, trap - 1.0), max(hi, trap + 1.0), n)
 
 
 def asymptotic_survival(p: Params, init) -> float:
@@ -169,9 +172,6 @@ class DegeneracyReport:
     ionization_degenerate: np.ndarray
     ionization_shifted: list[np.ndarray]
     sup_state_diff: list[float]
-    deltas: np.ndarray
-    profile_degenerate: np.ndarray
-    profiles_shifted: list[np.ndarray]
     profile_min_degenerate: float
     profile_min_shifted: list[float]
 
@@ -192,21 +192,18 @@ def degeneracy_validity(p: Params, shifts, grid: TimeGrid, delta_grid, tol: floa
 
     p_deg = replace(p, shift_g=0.0, shift_e=0.0)
     deg_traj = evolve(p_deg, "four_state", "g1", grid)
-    deg_profile = fano_scan(p_deg, deltas, grid.t_end, "g1", "four_state")
+    deg_min = fano_scan(p_deg, deltas, grid.t_end, "g1", "four_state").min_delta
 
     g1_state = State(Basis.ORIGINAL4, [1.0, 0.0, 0.0, 0.0])
     ion_shifted: list[np.ndarray] = []
     sup_diffs: list[float] = []
-    profiles: list[np.ndarray] = []
     minima: list[float] = []
     for shift in shifts:
         p_nd = replace(p, shift_g=shift, shift_e=shift)
         traj = integrate(nondegenerate_hamiltonian(p_nd), g1_state, grid, tol)
         sup_diffs.append(float(np.abs(traj.amps - deg_traj.amps_original).max()))
         ion_shifted.append(traj.ionization)
-        profile = fano_scan(p_nd, deltas, grid.t_end, "g1", "nondegenerate4")
-        profiles.append(profile.ionization)
-        minima.append(profile.min_delta)
+        minima.append(fano_scan(p_nd, deltas, grid.t_end, "g1", "nondegenerate4").min_delta)
 
     return DegeneracyReport(
         shifts=shifts,
@@ -214,9 +211,6 @@ def degeneracy_validity(p: Params, shifts, grid: TimeGrid, delta_grid, tol: floa
         ionization_degenerate=deg_traj.ionization,
         ionization_shifted=ion_shifted,
         sup_state_diff=sup_diffs,
-        deltas=deltas,
-        profile_degenerate=deg_profile.ionization,
-        profiles_shifted=profiles,
-        profile_min_degenerate=deg_profile.min_delta,
+        profile_min_degenerate=deg_min,
         profile_min_shifted=minima,
     )

@@ -28,6 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    _DELTA_WINDOW,
+    DegeneracyReport,
     FanoProfile,
     default_delta_grid,
     degeneracy_validity,
@@ -223,11 +225,19 @@ def _write_rows(path, header: str, table: np.ndarray) -> None:
             f.write("".join(map(line.__mod__, map(tuple, table[start : start + _CSV_BLOCK].tolist()))))
 
 
-def write_csv(data: Trajectory | FanoProfile, path) -> None:
-    """Write a trajectory or detuning profile as CSV (LF newlines), streamed
-    in blocks of rows.  A trajectory row holds the time, the real and
-    imaginary parts of ``data.amps`` (2-state models fill the dark
-    columns with zeros), the populations and the ionization."""
+def _one_splitting(report: DegeneracyReport) -> np.ndarray:
+    """The shifted ionization history of a report of exactly one splitting."""
+    if len(report.shifts) != 1:
+        raise ValueError(f"expected a report of one splitting, got {len(report.shifts)}")
+    return report.ionization_shifted[0]
+
+
+def write_csv(data: Trajectory | FanoProfile | DegeneracyReport, path) -> None:
+    """Write a trajectory, detuning profile or one-splitting degeneracy
+    report as CSV (LF newlines), streamed in blocks of rows.  A trajectory
+    row holds the time, the real and imaginary parts of ``data.amps``
+    (2-state models fill the dark columns with zeros), the populations and
+    the ionization; a report row holds the time and both ionizations."""
     if isinstance(data, Trajectory):
         amps = np.ascontiguousarray(data.amps)
         if amps.shape[1] == 2:
@@ -240,6 +250,9 @@ def write_csv(data: Trajectory | FanoProfile, path) -> None:
         if data.deltas.size == 0:
             raise ValueError("cannot write an empty profile")
         _write_rows(path, PROFILE_HEADER, np.column_stack([data.deltas, data.ionization]))
+    elif isinstance(data, DegeneracyReport):
+        table = np.column_stack([data.times, data.ionization_degenerate, _one_splitting(data)])
+        _write_rows(path, "t,ionization_degenerate,ionization_shifted", table)
     else:
         raise TypeError(f"cannot write {type(data).__name__} as CSV")
 
@@ -256,11 +269,11 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
     if span <= 0:
         return [lo]
-    raw = span / target
+    raw = span / 6  # about six ticks per axis
     mag = 10.0 ** np.floor(np.log10(raw))
     step = next(s * mag for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw)
     first = np.ceil(lo / step) * step
@@ -347,12 +360,14 @@ def _svg_line_plot(path, x: np.ndarray, series: list[tuple[str, np.ndarray]], xl
     Path(path).write_text("\n".join(parts) + "\n", newline="\n")
 
 
-def render_svg(data: Trajectory | FanoProfile, path) -> None:
-    """Render a self-contained SVG line plot of a trajectory or profile.
+def render_svg(data: Trajectory | FanoProfile | DegeneracyReport, path) -> None:
+    """Render a self-contained SVG line plot of a trajectory, profile or
+    one-splitting degeneracy report.
 
     Trajectories get one polyline per column of ``data.amps`` whose
     population is ever nonzero, named after ``data.basis``, plus the
-    ionization; profiles get the ionization versus detuning.
+    ionization; profiles get the ionization versus detuning; reports get
+    the degenerate and shifted ionization versus time.
     """
     if isinstance(data, Trajectory):
         pops = np.abs(data.amps) ** 2
@@ -363,6 +378,9 @@ def render_svg(data: Trajectory | FanoProfile, path) -> None:
         if data.deltas.size == 0:
             raise ValueError("cannot plot an empty profile")
         _svg_line_plot(path, data.deltas, [("ionization", data.ionization)], "delta (1/T)")
+    elif isinstance(data, DegeneracyReport):
+        series = [("degenerate", data.ionization_degenerate), ("shifted", _one_splitting(data))]
+        _svg_line_plot(path, data.times, series, "t / T")
     else:
         raise TypeError(f"cannot plot {type(data).__name__}")
 
@@ -381,8 +399,8 @@ def _resolve_delta_grid(cfg: RunConfig) -> np.ndarray:
         raise ConfigError(f"delta_steps must lie in [2, {_MAX_GRID_POINTS}], got {steps}")
     if cfg.delta_min is None and cfg.delta_max is None:
         return default_delta_grid(cfg.params, n=steps)
-    lo = cfg.delta_min if cfg.delta_min is not None else -10.0
-    hi = cfg.delta_max if cfg.delta_max is not None else 10.0
+    lo = cfg.delta_min if cfg.delta_min is not None else _DELTA_WINDOW[0]
+    hi = cfg.delta_max if cfg.delta_max is not None else _DELTA_WINDOW[1]
     if not hi > lo:
         raise ConfigError(f"delta_max must exceed delta_min, got [{lo}, {hi}]")
     return np.linspace(lo, hi, steps)
@@ -413,59 +431,37 @@ def run(cfg: RunConfig) -> int:
         print(f"eigenvalues ({cfg.model}): {shown}")
         return 0
 
-    if cfg.command == "evolve":
-        out = _require_out(cfg)
-        grid = TimeGrid(cfg.t_start, cfg.t_end, cfg.n_samples)
-        traj = evolve(cfg.params, cfg.model, cfg.init, grid)
-        write_csv(traj, out)
-        if cfg.plot:
-            render_svg(traj, _svg_path(out))
-        print(
-            f"evolve {cfg.model}/{cfg.init}: final ionization = "
-            f"{traj.ionization[-1]:.6f} at t = {cfg.t_end:g}; wrote {out}"
-        )
-        return 0
-
-    if cfg.command == "fano":
-        out = _require_out(cfg)
-        grid = _resolve_delta_grid(cfg)
-        profile = fano_scan(cfg.params, grid, cfg.t_obs, cfg.init, cfg.model)
-        write_csv(profile, out)
-        if cfg.plot:
-            render_svg(profile, _svg_path(out))
-        print(
-            f"fano {cfg.model}/{cfg.init}: min ionization = {profile.ionization.min():.6f} "
-            f"at delta = {profile.min_delta:.6f}; max ionization = "
-            f"{profile.ionization.max():.6f}; wrote {out}"
-        )
-        return 0
-
-    if cfg.command != "nondeg":
+    if cfg.command not in COMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r}, expected one of {COMMANDS}")
 
     out = _require_out(cfg)
-    if cfg.params.shift_g != cfg.params.shift_e:
-        raise ConfigError("command 'nondeg' expects shift_g == shift_e (one common splitting)")
-    shift = cfg.params.shift_g
-    grid = TimeGrid(cfg.t_start, cfg.t_end, cfg.n_samples)
-    report = degeneracy_validity(cfg.params, [shift], grid, _resolve_delta_grid(cfg), cfg.tol)
-    table = np.column_stack([report.times, report.ionization_degenerate, report.ionization_shifted[0]])
-    _write_rows(out, "t,ionization_degenerate,ionization_shifted", table)
-    if cfg.plot:
-        _svg_line_plot(
-            _svg_path(out),
-            report.times,
-            [
-                ("degenerate", report.ionization_degenerate),
-                ("shifted", report.ionization_shifted[0]),
-            ],
-            "t / T",
+    if cfg.command == "evolve":
+        data = evolve(cfg.params, cfg.model, cfg.init, TimeGrid(cfg.t_start, cfg.t_end, cfg.n_samples))
+        summary = (
+            f"evolve {cfg.model}/{cfg.init}: final ionization = "
+            f"{data.ionization[-1]:.6f} at t = {cfg.t_end:g}"
         )
-    print(
-        f"nondeg shift = {shift:g}: sup amplitude difference = {report.sup_state_diff[0]:.6f}; "
-        f"profile minima: degenerate {report.profile_min_degenerate:.6f}, "
-        f"shifted {report.profile_min_shifted[0]:.6f}; wrote {out}"
-    )
+    elif cfg.command == "fano":
+        data = fano_scan(cfg.params, _resolve_delta_grid(cfg), cfg.t_obs, cfg.init, cfg.model)
+        summary = (
+            f"fano {cfg.model}/{cfg.init}: min ionization = {data.ionization.min():.6f} "
+            f"at delta = {data.min_delta:.6f}; max ionization = {data.ionization.max():.6f}"
+        )
+    else:
+        if cfg.params.shift_g != cfg.params.shift_e:
+            raise ConfigError("command 'nondeg' expects shift_g == shift_e (one common splitting)")
+        shift = cfg.params.shift_g
+        grid = TimeGrid(cfg.t_start, cfg.t_end, cfg.n_samples)
+        data = degeneracy_validity(cfg.params, [shift], grid, _resolve_delta_grid(cfg), cfg.tol)
+        summary = (
+            f"nondeg shift = {shift:g}: sup amplitude difference = {data.sup_state_diff[0]:.6f}; "
+            f"profile minima: degenerate {data.profile_min_degenerate:.6f}, "
+            f"shifted {data.profile_min_shifted[0]:.6f}"
+        )
+    write_csv(data, out)
+    if cfg.plot:
+        render_svg(data, _svg_path(out))
+    print(f"{summary}; wrote {out}")
     return 0
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -111,8 +110,7 @@ class Trajectory:
     """Propagation result: (n_samples, dim) complex amplitudes ``amps`` in
     ``basis`` and ``ionization[i]`` = 1 - |amps[i]|^2, clamped of tiny
     negative roundoff.  Four-state models report ``amps`` in the bright/dark
-    basis and the (g1, g2, e1, e2) evolution as ``amps_original``; ``states``
-    and ``states_original`` build their State objects on first access.
+    basis and the (g1, g2, e1, e2) evolution as ``amps_original``.
     """
 
     grid: TimeGrid
@@ -131,16 +129,6 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return self.grid.times()
-
-    @cached_property
-    def states(self) -> list[State]:
-        return [State(self.basis, a, t) for a, t in zip(self.amps, self.times)]
-
-    @cached_property
-    def states_original(self) -> list[State] | None:
-        if self.amps_original is None:
-            return None
-        return [State(Basis.ORIGINAL4, a, t) for a, t in zip(self.amps_original, self.times)]
 
 
 @dataclass(frozen=True)

@@ -58,11 +58,10 @@ _BASIS_LABELS = {
 
 @dataclass(frozen=True, eq=False)
 class State:
-    """Complex amplitude vector tagged with its basis and time (in T)."""
+    """Complex amplitude vector tagged with its basis."""
 
     basis: Basis
     amps: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self) -> None:
         basis = Basis(self.basis)
@@ -75,7 +74,6 @@ class State:
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "time", float(self.time))
 
     @property
     def norm_sq(self) -> float:
@@ -138,7 +136,7 @@ def to_bright_dark(s: State) -> State:
     """Map an original-basis state to (b_g, b_e, d_g, d_e); norm preserving."""
     if s.basis is not Basis.ORIGINAL4:
         raise ValueError(f"expected a {Basis.ORIGINAL4.value} state, got {s.basis.value}")
-    return State(Basis.BRIGHTDARK4, _BRIGHT_DARK_MAP @ s.amps, s.time)
+    return State(Basis.BRIGHTDARK4, _BRIGHT_DARK_MAP @ s.amps)
 
 
 def from_bright_dark(s: State) -> State:
@@ -146,4 +144,4 @@ def from_bright_dark(s: State) -> State:
     if s.basis is not Basis.BRIGHTDARK4:
         raise ValueError(f"expected a {Basis.BRIGHTDARK4.value} state, got {s.basis.value}")
     # the map is real orthogonal, so the inverse is the plain transpose
-    return State(Basis.ORIGINAL4, _BRIGHT_DARK_MAP.T @ s.amps, s.time)
+    return State(Basis.ORIGINAL4, _BRIGHT_DARK_MAP.T @ s.amps)

@@ -107,7 +107,7 @@ class TestIonization:
         traj = evolve(p, "four_state", "bright", TimeGrid(0.0, 6.0, 61))
         expected = 5.5 / 18.24
         assert traj.ionization[-1] == pytest.approx(expected, abs=1e-6)
-        assert ionization(traj.states[-1]) == pytest.approx(expected, abs=1e-6)
+        assert ionization(State(traj.basis, traj.amps[-1])) == pytest.approx(expected, abs=1e-6)
         # independent route: adaptive integration of the same system
         rk = integrate(
             effective_hamiltonian(p),

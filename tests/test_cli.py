@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 from conftest import STRONG
-from lics import Basis, FanoProfile, Params, TimeGrid, Trajectory, evolve, trapping_delta
+from lics import (
+    Basis,
+    DegeneracyReport,
+    FanoProfile,
+    Params,
+    TimeGrid,
+    Trajectory,
+    evolve,
+    trapping_delta,
+)
 from lics import cli
 from lics.cli import (
     TRAJECTORY_HEADER,
@@ -262,6 +271,24 @@ class TestWriteCsv:
             assert float(row[2]) == amps[k, 0].imag
             assert float(row[13]) == traj.ionization[k]
 
+    @pytest.mark.parametrize("writer", [write_csv, render_svg])
+    @pytest.mark.parametrize("n_shifts", [0, 2])
+    def test_report_needs_exactly_one_splitting(self, tmp_path, writer, n_shifts):
+        times = np.linspace(0.0, 1.0, 3)
+        report = DegeneracyReport(
+            shifts=[0.1 * (k + 1) for k in range(n_shifts)],
+            times=times,
+            ionization_degenerate=times / 2,
+            ionization_shifted=[times / 2 + 0.1 * k for k in range(n_shifts)],
+            sup_state_diff=[0.0] * n_shifts,
+            profile_min_degenerate=0.0,
+            profile_min_shifted=[0.0] * n_shifts,
+        )
+        path = tmp_path / "report.out"
+        with pytest.raises(ValueError, match="one splitting"):
+            writer(report, path)
+        assert not path.exists()
+
     def test_lf_newlines(self, tmp_path, strong_params):
         traj = evolve(strong_params, "bright2", "bright", TimeGrid(0.0, 1.0, 3))
         path = tmp_path / "lf.csv"
@@ -464,6 +491,25 @@ class TestMain:
         assert err.startswith("error: propagation failed at delta = 1e+200: the norm grew")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_nondeg_goes_through_the_public_writers(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        for name in ("write_csv", "render_svg"):
+
+            def spy(data, path, name=name, writer=getattr(cli, name)):
+                calls.append((name, type(data)))
+                writer(data, path)
+
+            monkeypatch.setattr(cli, name, spy)
+        config = tmp_path / "run.conf"
+        out = tmp_path / "out.csv"
+        config.write_text(
+            _cfg_text("nondeg", delta="trap", shift_g=0.1, shift_e=0.1, n_samples=11, delta_steps=5)
+        )
+        assert main([str(config), "--out", str(out), "--plot"]) == 0
+        assert calls == [("write_csv", DegeneracyReport), ("render_svg", DegeneracyReport)]
+        assert out.exists() and out.with_suffix(".svg").exists()
+        assert capsys.readouterr().out.endswith(f"; wrote {out}\n")
 
     def test_missing_config_file(self, capsys):
         assert main(["/nonexistent/path.conf"]) == 1

@@ -185,7 +185,7 @@ class TestEigensystem:
             s0 = State(Basis.ORIGINAL4, [0.5, 0.5, 0.5, 0.5])
             traj = propagate_expm(m, s0, TimeGrid(0.0, 1.0, 3))
             ref_amp = scipy.linalg.expm(-1j * m) @ s0.amps
-            assert np.abs(traj.states[-1].amps - ref_amp).max() < 1e-8 * max(
+            assert np.abs(traj.amps[-1] - ref_amp).max() < 1e-8 * max(
                 1.0, np.abs(ref_amp).max()
             )
 
@@ -203,9 +203,9 @@ class TestEigensystem:
                 assert eigensystem(h).degenerate == defective
                 s0 = starts[h.shape[0]]
                 traj = propagate_expm(h, s0, grid)
-                for t, s in zip(grid.times(), traj.states):
+                for t, a in zip(grid.times(), traj.amps):
                     ref = scipy.linalg.expm(-1j * h * t) @ s0.amps
-                    assert np.abs(s.amps - ref).max() < 1e-10
+                    assert np.abs(a - ref).max() < 1e-10
 
     def test_stack_equals_per_matrix_calls(self):
         """A stack holding a defective, a semisimple, a random, the identity,
@@ -246,8 +246,8 @@ class TestPropagateExpm:
     def test_zero_hamiltonian_is_constant(self):
         s0 = State(Basis.BRIGHT2, [0.6, 0.8])
         traj = propagate_expm(np.zeros((2, 2), dtype=complex), s0, TimeGrid(0, 5, 11))
-        for s in traj.states:
-            np.testing.assert_allclose(s.amps, [0.6, 0.8], atol=1e-14)
+        for a in traj.amps:
+            np.testing.assert_allclose(a, [0.6, 0.8], atol=1e-14)
 
     def test_pure_decay(self):
         h = np.diag([-1j, 0.0])
@@ -271,9 +271,9 @@ class TestPropagateExpm:
         s0 = State(Basis.BRIGHT2, [1.0, 1.0])
         grid = TimeGrid(0.0, 2.0, 5)
         traj = propagate_expm(h, s0, grid)
-        for t, s in zip(grid.times(), traj.states):
+        for t, a in zip(grid.times(), traj.amps):
             ref = scipy.linalg.expm(-1j * h * t) @ np.array([1.0, 1.0])
-            np.testing.assert_allclose(s.amps, ref, atol=1e-12)
+            np.testing.assert_allclose(a, ref, atol=1e-12)
 
     @pytest.mark.parametrize("scale", [0.1, 1.0, 30.0, 300.0])
     def test_series_kernel_matches_scipy(self, scale):
@@ -332,7 +332,7 @@ class TestIntegrate:
         h = effective_hamiltonian(p)
         s0 = State(Basis.ORIGINAL4, [0.5, 0.5, 0.5, 0.5])
         traj = integrate(h, s0, TimeGrid(0.0, 10.0, 101), tol=1e-12)
-        norms = np.array([s.norm_sq for s in traj.states])
+        norms = np.array([State(traj.basis, a).norm_sq for a in traj.amps])
         assert np.abs(norms - 1.0).max() < 1e-10
 
     def test_level_splitting_increases_ionization(self, weak_params):
@@ -362,8 +362,10 @@ class TestIntegrate:
         h = np.diag([-1j, -2j])
         s0 = State(Basis.BRIGHT2, [1.0, 1.0])
         grid = TimeGrid(0.0, 3.0, 7)
-        traj = integrate(h, s0, grid, tol=1e-10)
-        np.testing.assert_allclose([s.time for s in traj.states], grid.times())
+        tol = 1e-10
+        traj = integrate(h, s0, grid, tol=tol)
+        exact = np.exp(-1j * np.outer(grid.times(), np.diag(h))) * s0.amps
+        np.testing.assert_allclose(traj.amps, exact, rtol=0, atol=10 * tol)
 
     def test_huge_hamiltonian_on_a_short_span(self):
         """Unscaled powers of M overflow at M^7 once ||h|| is above about
@@ -533,9 +535,9 @@ class TestEvolve:
         p = dataclasses.replace(strong_params, delta=trapping_delta(strong_params))
         traj = evolve(p, "four_state", "bright", TimeGrid(0.0, 6.0, 121))
         assert traj.ionization[-1] == pytest.approx(5.5 / 18.24, abs=1e-6)
-        assert traj.states[0].basis is Basis.BRIGHTDARK4
-        assert traj.states_original is not None
-        assert traj.states_original[0].basis is Basis.ORIGINAL4
+        assert traj.basis is Basis.BRIGHTDARK4
+        assert traj.amps_original is not None
+        assert traj.amps_original.shape == traj.amps.shape
 
     def test_g1_dark_population_constant(self, strong_params):
         p = dataclasses.replace(strong_params, delta=trapping_delta(strong_params))
@@ -545,8 +547,8 @@ class TestEvolve:
 
     def test_two_level_ground_start(self, strong_params):
         traj = evolve(strong_params, "twolevel2", "g1", TimeGrid(0.0, 1.0, 5))
-        np.testing.assert_allclose(traj.states[0].amps, [1.0, 0.0], atol=1e-15)
-        assert traj.states[0].basis is Basis.TWOLEVEL2
+        np.testing.assert_allclose(traj.amps[0], [1.0, 0.0], atol=1e-15)
+        assert traj.basis is Basis.TWOLEVEL2
 
     def test_bright2_matches_four_state_bright_block(self, strong_params):
         p = dataclasses.replace(strong_params, delta=trapping_delta(strong_params))
@@ -577,7 +579,7 @@ class TestEvolve:
     def test_custom_state_initialization(self, strong_params):
         s0 = State(Basis.BRIGHTDARK4, [1.0, 0.0, 0.0, 0.0])
         traj = evolve(strong_params, "four_state", s0, TimeGrid(0.0, 1.0, 5))
-        np.testing.assert_allclose(traj.states[0].amps, [1, 0, 0, 0], atol=1e-14)
+        np.testing.assert_allclose(traj.amps[0], [1, 0, 0, 0], atol=1e-14)
 
     def test_incompatible_custom_state_rejected(self, strong_params):
         with pytest.raises(ValueError):
@@ -627,10 +629,10 @@ class TestTrajectory:
     def test_lengths_and_ionization_definition(self, strong_params):
         grid = TimeGrid(0.0, 2.0, 17)
         traj = evolve(strong_params, "four_state", "bright", grid)
-        assert len(traj.states) == 17
+        assert traj.amps.shape == (17, 4)
         assert traj.ionization.shape == (17,)
-        for s, ion in zip(traj.states, traj.ionization):
-            assert ion == pytest.approx(1.0 - s.norm_sq, abs=1e-12)
+        for a, ion in zip(traj.amps, traj.ionization):
+            assert ion == pytest.approx(1.0 - State(traj.basis, a).norm_sq, abs=1e-12)
 
     def test_evolve_builds_no_state_per_sample(self, strong_params, monkeypatch):
         calls = {"state": 0, "map": 0}
@@ -659,15 +661,13 @@ class TestTrajectory:
 
     def test_states_are_built_from_the_arrays(self, strong_params):
         traj = evolve(strong_params, "four_state", "g1", TimeGrid(0.0, 1.0, 201))
-        for states, amps in ((traj.states, traj.amps), (traj.states_original, traj.amps_original)):
-            np.testing.assert_array_equal([s.amps for s in states], amps)
-            np.testing.assert_array_equal([s.time for s in states], traj.times)
+        assert traj.basis is Basis.BRIGHTDARK4
         # the stacked map is bit-identical to mapping each sample on its own
-        np.testing.assert_array_equal(traj.amps, [to_bright_dark(s).amps for s in traj.states_original])
-        assert traj.states_original[0].basis is Basis.ORIGINAL4
-        assert traj.states is traj.states  # built once, on first access
+        np.testing.assert_array_equal(
+            traj.amps, [to_bright_dark(State(Basis.ORIGINAL4, a)).amps for a in traj.amps_original]
+        )
         two = evolve(strong_params, "bright2", "bright", TimeGrid(0.0, 1.0, 5))
-        assert two.states_original is None
+        assert two.amps_original is None
 
     def test_rejects_inconsistent_or_non_finite_amplitudes(self):
         grid = TimeGrid(0.0, 1.0, 3)
@@ -690,10 +690,10 @@ class TestTrajectory:
         s0 = State(Basis.ORIGINAL4, [INV_SQRT2, INV_SQRT2, 0.0, 0.0])
         h = effective_hamiltonian(p)
         via_expm = np.array(
-            [to_bright_dark(s).amps[:2] for s in propagate_expm(h, s0, grid).states]
+            [to_bright_dark(State(s0.basis, a)).amps[:2] for a in propagate_expm(h, s0, grid).amps]
         )
         via_rk = np.array(
-            [to_bright_dark(s).amps[:2] for s in integrate(h, s0, grid, 1e-11).states]
+            [to_bright_dark(State(s0.basis, a)).amps[:2] for a in integrate(h, s0, grid, 1e-11).amps]
         )
         assert np.abs(closed - via_expm).max() < 1e-8
         assert np.abs(closed - via_rk).max() < 1e-8

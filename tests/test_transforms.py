@@ -161,10 +161,6 @@ class TestStateMapping:
         back = from_bright_dark(mapped)
         assert np.abs(back.amps - s.amps).max() < 1e-15
 
-    def test_time_carried_along(self):
-        s = State(Basis.ORIGINAL4, [1, 0, 0, 0], time=2.5)
-        assert to_bright_dark(s).time == 2.5
-
 
 class TestState:
     def test_dimension_must_match_basis(self):
