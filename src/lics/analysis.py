@@ -19,8 +19,8 @@ from .dynamics import (
     INITS,
     TimeGrid,
     _ionization_values,
+    _mean_and_root,
     _scan_ionization,
-    eigenvalues,
     evolve,
     integrate,
 )
@@ -71,10 +71,13 @@ def trapping_residual(p: Params, delta: float) -> float:
     """Smallest |Im eigenvalue| of the bright pair at the given detuning.
 
     Zero (to roundoff) exactly on the trapping manifold; grows with the
-    distance from it, making this a scannable figure of merit.
+    distance from it, making this a scannable figure of merit.  The
+    eigenvalues m ± s come from the closed form of the propagation
+    kernel, which keeps the decay rates exact to roundoff of the rates,
+    also where the detuning's roundoff exceeds them.
     """
-    values = eigenvalues(bright_hamiltonian(replace(p, delta=float(delta))))
-    return float(np.abs(values.imag).min())
+    m, _, s = _mean_and_root(*bright_hamiltonian(replace(p, delta=float(delta))).ravel())
+    return float(min(abs((m + s).imag), abs((m - s).imag)))
 
 
 def ionization(s: State) -> float:
@@ -105,15 +108,19 @@ class FanoProfile:
 def fano_scan(p: Params, delta_grid, t_obs: float, init="bright", model: str = "four_state") -> FanoProfile:
     """Ionization at time ``t_obs`` for every detuning in ``delta_grid``.
 
-    The detunings are propagated in blocks, each through one stacked
-    ``eigensystem`` call and the kernel of ``propagate_expm``, so every
-    value equals ``evolve(...).ionization[-1]`` at that detuning bit for
-    bit.  Points where those eigenpairs are not trusted (a defective
-    root, as at an exceptional point, or ill-conditioned eigenvectors),
-    or whose result is not finite or gains norm, are run one by one by
-    ``evolve``, with its Pade fallback and its norm check.  Results are
-    reported in grid order; a point whose propagation fails raises
-    RuntimeError naming its detuning.
+    Every value equals ``evolve(...).ionization[-1]`` at that detuning
+    bit for bit.  ``four_state``, ``bright2`` and ``twolevel2`` run all
+    detunings at once through the closed-form 2x2 block kernel of
+    ``evolve``, exact also at an exceptional point and at detunings far
+    beyond the decay rates.  ``nondegenerate4`` is propagated in blocks,
+    each through one stacked ``eigensystem`` call and the kernel of
+    ``propagate_expm``; its points where those eigenpairs are not
+    trusted (a defective root, as at an exceptional point, or
+    ill-conditioned eigenvectors) are run one by one by ``evolve``, with
+    its Pade fallback.  A point whose result is not finite or gains norm
+    is rerun by ``evolve`` and its norm check.  Results are reported in
+    grid order; a point whose propagation fails raises RuntimeError
+    naming its detuning.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size == 0:

@@ -3,13 +3,18 @@
 Three independent routes compute the same constant-Hamiltonian evolution
 i dc/dt = H c:
 
-* ``propagate_expm``: exact exponential through an eigen-decomposition
-  whose eigenpairs come from LAPACK, with a scaling-and-squaring Pade
-  fallback where their eigenvector condition number exceeds 1e6, as
-  near an exceptional point, or their residual is large
-  (``_scan_ionization`` runs the same ``eigensystem`` and kernel over a
-  whole detuning scan, a stack of matrices per LAPACK call, and gets the
-  same bits);
+* the exact exponential.  ``evolve`` and ``_scan_ionization`` propagate
+  ``four_state`` (as its bright block and dark diagonal, from
+  ``transforms.block_diagonalize``), ``bright2`` and ``twolevel2``
+  through one eigenvector-free closed form for a 2x2 block,
+  ``_block_amps``, over a whole detuning scan at once.
+  ``propagate_expm`` exponentiates any matrix through an
+  eigen-decomposition whose eigenpairs come from LAPACK, with a
+  scaling-and-squaring Pade fallback where their eigenvector condition
+  number exceeds 1e6, as near an exceptional point, or their residual is
+  large; it is the oracle of the closed form and the route of
+  ``nondegenerate4``, whose scan runs the same ``eigensystem`` and
+  kernel on stacks of matrices and gets the same bits;
 * ``integrate``: the embedded Dormand-Prince 8(5,3) Runge-Kutta solver
   (DOP853), stepping onto every output time, its twelve stages evaluated
   as one precomputed polynomial in step·M (M = -i h) per step;
@@ -37,7 +42,7 @@ from .model import (
     nondegenerate_hamiltonian,
     two_level_hamiltonian,
 )
-from .transforms import _BRIGHT_DARK_MAP, Basis, State, from_bright_dark
+from .transforms import _BRIGHT_DARK_MAP, Basis, State, block_diagonalize, from_bright_dark
 
 __all__ = [
     "TimeGrid",
@@ -69,10 +74,22 @@ _RESIDUAL_TOL = 1e-6
 # largest n_samples of a TimeGrid and delta_steps of a scan; 10**6 float64
 # samples are 8 MB, and every grid point costs a propagation
 _MAX_GRID_POINTS = 10**6
-# detunings per stacked LAPACK call in _scan_ionization: a block's
+# detunings per stacked LAPACK call in a nondegenerate4 scan: a block's
 # temporaries take about 1.4 KB per detuning, and each block costs about
 # 90 us of Python overhead on top of its eigen-decompositions
 _SCAN_BLOCK = 32
+# the models that _block_amps propagates; nondegenerate4 does not split
+_BLOCK_MODELS = ("four_state", "bright2", "twolevel2")
+# four_state is propagated as its bright block and its dark diagonal only
+# if block_diagonalize leaves every other entry below this, relative to
+# the largest entry of the Hamiltonian (the bound of acceptance criterion 1)
+_BLOCK_TOL = 1e-12
+# below this |s t|, sin(s t)/(s t) is summed as its Taylor series, whose
+# first omitted term, (s t)^8 / 9!, is then below 3e-22
+_SINC_SERIES_BELOW = 1e-2
+# above this |Im s t|, cos(s t) and sin(s t) near overflow (at about 710)
+# while e^{-imt} may underflow, so both are summed from e^{-i(m ± s)t}
+_EXP_FORM_ABOVE = 700.0
 
 
 class IntegrationError(RuntimeError):
@@ -288,6 +305,104 @@ def propagate_expm(h: CMatrix, s0: State, grid: TimeGrid) -> Trajectory:
     return Trajectory(grid, s0.basis, amps, _ionization_values(amps))
 
 
+# ---------------------------------------------------------------------------
+# closed-form exponential of a 2x2 block
+
+
+def _mean_and_root(a, b, c, d):
+    """m = (a + d)/2, h = (a - d)/2 and a root s of s^2 = h^2 + bc for the
+    matrices [[a, b], [c, d]], whose eigenvalues are m ± s.
+
+    s^2 is formed from h, not as m^2 - det, which cancels.  Where
+    |h|^2 exceeds |bc|, s = h sqrt(1 + (bc/h)/h), so that h^2 cannot
+    overflow.  Complex arithmetic keeps the imaginary parts apart from a
+    large real detuning, so Im(m ± s), the decay rates, keep their
+    accuracy even where eps |h| exceeds them.
+    """
+    m = (a + d) / 2
+    h = (a - d) / 2
+    bc = b * c
+    # each branch is evaluated everywhere; only the chosen one is finite
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = np.where(np.abs(h) ** 2 > np.abs(bc), h * np.sqrt(1 + bc / h / h), np.sqrt(h * h + bc))
+    return m, h, s
+
+
+def _block_amps(block: CMatrix, deltas: np.ndarray, v0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i H t) v0 for H = ``block`` with each delta in ``deltas``
+    added to its lower diagonal entry, at every t in ``times``: shape
+    (len(deltas), len(times), 2).
+
+    The closed form exp(-iHt) = e^{-imt} [cos(st) I - i (sin(st)/s)(H - mI)]
+    (Moler and Van Loan, SIAM Rev. 45 (2003), sec. 2) needs no
+    eigenvectors and is even in s.  sin(st)/s is a Taylor series where
+    |st| < 1e-2, so an exceptional point (s = 0) is as exact as any other
+    point; where |Im st| > 700 both terms are summed from e^{-i(m ± s)t}.
+    Each amplitude vector is two scalar functions of t times the fixed
+    vectors v0 and (H - mI) v0, so no propagator stack is formed, and its
+    bits do not depend on how many detunings or times are computed with
+    it.  Overflow gives NaN, left to the caller's finiteness check.
+    """
+    a, b, c = block[0, 0], block[0, 1], block[1, 0]
+    m, h, s = _mean_and_root(a, b, c, block[1, 1] + deltas)
+    # -i (H - mI) v0: the sine term's -i is folded into its vector
+    w = -1j * np.stack([h * v0[0] + b * v0[1], c * v0[0] - h * v0[1]], axis=-1)
+    with np.errstate(all="ignore"):
+        x = s[:, None] * times
+        cos_term = np.cos(x)
+        sin_term = np.sin(x) / x
+        small = np.abs(x) < _SINC_SERIES_BELOW
+        x2 = x[small] ** 2
+        sin_term[small] = 1.0 + x2 * (-1.0 / 6.0 + x2 * (1.0 / 120.0 - x2 / 5040.0))
+        big = np.abs(x.imag) > _EXP_FORM_ABOVE
+        del x
+        phase = np.exp(-1j * (m[:, None] * times))
+        cos_term *= phase
+        # e^{-imt} sin(st)/s
+        sin_term *= phase
+        sin_term *= times
+        del phase
+        if big.any():
+            k, j = np.nonzero(big)
+            plus = np.exp(-1j * ((m[k] + s[k]) * times[j]))
+            minus = np.exp(-1j * ((m[k] - s[k]) * times[j]))
+            cos_term[big] = (plus + minus) / 2
+            sin_term[big] = (minus - plus) / (2j * s[k])
+        amps = cos_term[..., None] * v0
+        amps += sin_term[..., None] * w[:, None, :]
+    return amps
+
+
+def _block_model_amps(p: Params, model: str, s0: State, deltas: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Amplitudes of a ``_BLOCK_MODELS`` model from ``s0`` at every
+    detuning in ``deltas`` and every time in ``times``: shape (len(deltas),
+    len(times), dim), for ``four_state`` in the bright/dark basis.
+
+    The Hamiltonian is built once, at delta = -0.0; every builder adds
+    the detuning to the excited diagonal only, which the pi/4 rotation
+    leaves in place, so each detuning enters ``_block_amps`` as a shift
+    of the lower diagonal entry.  ``four_state`` is split by
+    ``block_diagonalize`` into its bright block and its dark pair, a pure
+    phase; raises ValueError unless every other entry of the rotated
+    matrix, the dark pair's loss and coupling included, is at roundoff.
+    """
+    h0 = build_hamiltonian(replace(p, delta=-0.0), model)
+    if model != "four_state":
+        return _block_amps(h0, deltas, s0.amps, times)
+    bright, dark, residual = block_diagonalize(h0)
+    dark_diag = np.diag(dark).real
+    leak = max(residual, float(np.abs(dark - np.diag(dark_diag)).max()))
+    if not leak <= _BLOCK_TOL * np.abs(h0).max():
+        raise ValueError(f"four_state Hamiltonian does not split into bright and dark blocks: residual {leak:.3g}")
+    v0 = _BRIGHT_DARK_MAP @ s0.amps
+    amps = np.empty((deltas.size, times.size, 4), dtype=np.complex128)
+    amps[..., :2] = _block_amps(bright, deltas, v0[:2], times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps[..., 2] = np.exp(-1j * (dark_diag[0] * times)) * v0[2]
+        amps[..., 3] = np.exp(-1j * ((dark_diag[1] + deltas)[:, None] * times)) * v0[3]
+    return amps
+
+
 def _detuning_stack(h0: CMatrix, deltas: np.ndarray) -> np.ndarray:
     """``h0`` with each delta in ``deltas`` added to the real parts of its
     excited diagonal entries (the second half of the basis).
@@ -315,35 +430,41 @@ def _scan_ionization(p: Params, model: str, init, deltas: np.ndarray, t_obs: flo
     """Ionization at ``t_obs`` for every detuning in ``deltas``, bit for
     bit as ``evolve`` computes it.
 
-    The detunings are propagated ``_SCAN_BLOCK`` at a time, each block
-    through one stacked ``eigensystem`` of ``_detuning_stack`` and the
-    kernel that ``propagate_expm`` runs.  A point the kernel does not
-    trust, or whose result is not finite or gains norm, is run alone by
-    ``evolve``, with its Pade fallback and its norm check; so is every
-    point of a block that LAPACK fails on.  Raises RuntimeError naming
-    the detuning if that run fails.
+    The block models run ``_block_model_amps`` over all detunings at
+    once, as ``evolve`` does for one.  ``nondegenerate4`` is propagated
+    ``_SCAN_BLOCK`` detunings at a time, each block through one stacked
+    ``eigensystem`` of ``_detuning_stack`` and the kernel that
+    ``propagate_expm`` runs.  A point whose result is not finite or
+    gains norm, such as a ``nondegenerate4`` point the eigen kernel does
+    not trust, is run alone by ``evolve``, with its Pade fallback and its
+    norm check; so is every point of a block that LAPACK fails on.
+    Raises RuntimeError naming the detuning if that run fails.
     """
     s0 = _initial_state(model, init)
-    h0 = build_hamiltonian(replace(p, delta=-0.0), model)
     grid = TimeGrid(0.0, t_obs, 2)
     times = grid.times()[1:]
-    values = np.empty(deltas.size)
-    for start in range(0, deltas.size, _SCAN_BLOCK):
-        block = deltas[start : start + _SCAN_BLOCK]
-        try:
-            amps = _eigen_amps(eigensystem(_detuning_stack(h0, block)), s0.amps, times)
-            with np.errstate(over="ignore", invalid="ignore"):
-                ion = _ionization_values(amps[:, 0])
-        except (ValueError, np.linalg.LinAlgError):
-            # a detuning overflowed an entry, or LAPACK failed on the block
-            ion = np.full(block.size, np.nan)
-        values[start : start + block.size] = ion
-        for k in np.flatnonzero(~_norm_kept(ion, s0)):
-            d = float(block[k])
+    if model in _BLOCK_MODELS:
+        amps = _block_model_amps(p, model, s0, deltas, times)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _ionization_values(amps[:, 0])
+    else:
+        values = np.empty(deltas.size)
+        h0 = build_hamiltonian(replace(p, delta=-0.0), model)
+        for start in range(0, deltas.size, _SCAN_BLOCK):
+            block = deltas[start : start + _SCAN_BLOCK]
             try:
-                values[start + k] = evolve(replace(p, delta=d), model, init, grid).ionization[-1]
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                raise RuntimeError(f"propagation failed at delta = {d:.12g}") from exc
+                amps = _eigen_amps(eigensystem(_detuning_stack(h0, block)), s0.amps, times)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    values[start : start + block.size] = _ionization_values(amps[:, 0])
+            except (ValueError, np.linalg.LinAlgError):
+                # a detuning overflowed an entry, or LAPACK failed on the block
+                values[start : start + block.size] = np.nan
+    for k in np.flatnonzero(~_norm_kept(values, s0)):
+        d = float(deltas[k])
+        try:
+            values[k] = evolve(replace(p, delta=d), model, init, grid).ionization[-1]
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            raise RuntimeError(f"propagation failed at delta = {d:.12g}") from exc
     return values
 
 
@@ -450,8 +571,9 @@ def integrate(h: CMatrix, s0: State, grid: TimeGrid, tol: float = 1e-10) -> Traj
     that they cannot overflow.  Entirely independent of
     ``propagate_expm``, which makes the two usable as mutual oracles.
 
-    Raises IntegrationError if the step size collapses below 1e-14 of
-    the integration span.
+    Raises ValueError if an entry of ``h`` is not finite, and
+    IntegrationError if the step size collapses below 1e-14 of the
+    integration span.
     """
     if not (1e-13 <= tol <= 1e-3):
         raise ValueError(f"tol must lie in [1e-13, 1e-3], got {tol}")
@@ -459,6 +581,8 @@ def integrate(h: CMatrix, s0: State, grid: TimeGrid, tol: float = 1e-10) -> Traj
     n = s0.basis.dim
     if h.shape != (n, n):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match basis {s0.basis.value}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("matrix entries must be finite")
     m = -1j * h
     # z^p = (step nu)^p (M / nu)^p; the rows of ``table`` are the
     # coefficients of (step nu)^p
@@ -603,21 +727,32 @@ def evolve(p: Params, model: str, init, grid: TimeGrid) -> Trajectory:
 
     ``model`` is one of ``MODELS``; ``init`` one of ``INITS`` or a State
     in a basis compatible with the model.  Constant Hamiltonians are
-    propagated exactly via ``propagate_expm``.  Raises ValueError if
-    the ionization falls more than 1e-9 below its initial value: these
-    Hamiltonians can only lose norm.
+    propagated exactly: ``four_state``, ``bright2`` and ``twolevel2``
+    by the closed form of their 2x2 blocks, ``nondegenerate4`` by
+    ``propagate_expm``.  Raises ValueError if a Hamiltonian entry or an
+    amplitude is not finite, or if the ionization falls more than 1e-9
+    below its initial value: these Hamiltonians can only lose norm.
 
-    Four-state trajectories are reported in the bright/dark basis, mapped
-    by one stacked product over all samples, with the original-basis
-    amplitudes attached as ``amps_original``.
+    Four-state trajectories are reported in the bright/dark basis, with
+    the original-basis amplitudes attached as ``amps_original``; either
+    one is mapped from the other by one stacked product over all samples.
     """
     h = build_hamiltonian(p, model)
     s0 = _initial_state(model, init)
-    traj = propagate_expm(h, s0, grid)
+    if model in _BLOCK_MODELS:
+        if not np.all(np.isfinite(h)):
+            raise ValueError("matrix entries must be finite")
+        amps = _block_model_amps(p, model, s0, np.array([float(p.delta)]), grid.times() - grid.t_start)[0]
+        basis = Basis.BRIGHTDARK4 if model == "four_state" else s0.basis
+        traj = Trajectory(grid, basis, amps, _ionization_values(amps))
+    else:
+        traj = propagate_expm(h, s0, grid)
     if not _norm_kept(traj.ionization, s0).all():
         raise ValueError(f"the norm grew during propagation: ionization fell to {traj.ionization.min():.3g}")
-    if model in ("four_state", "nondegenerate4"):
-        # stacked products are bit-identical to a per-row map; amps @ M.T is not
+    # stacked products are bit-identical to a per-row map; amps @ M.T is not
+    if model == "four_state":
+        traj.amps_original = (_BRIGHT_DARK_MAP.T @ traj.amps[:, :, None])[..., 0]
+    elif model == "nondegenerate4":
         bright_dark = (_BRIGHT_DARK_MAP @ traj.amps[:, :, None])[..., 0]
         return Trajectory(grid, Basis.BRIGHTDARK4, bright_dark, traj.ionization, amps_original=traj.amps)
     return traj

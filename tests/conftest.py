@@ -45,6 +45,36 @@ def make_random_params(rng: np.random.Generator, delta_span: float = 10.0) -> Pa
     )
 
 
+# an observation time at which a far-detuned ground state has not yet
+# fully ionized: the bright start keeps exp(-2 gamma_g t) = 0.58
+T_FAR = 0.05
+
+
+def block_entries(p: Params, delta: float, model: str) -> tuple[complex, complex, complex]:
+    """(a, bc, d) of the 2x2 block [[a, b], [c, d]] of ``bright2`` (the
+    four_state bright block) or ``twolevel2``, written out here from the
+    model's formulas."""
+    geg = np.sqrt(p.gamma_g * p.gamma_e)
+    if model == "twolevel2":
+        a = p.stark_g - 0.5j * p.gamma_g
+        d = delta + p.stark_e - 0.5j * p.gamma_e
+        return a, (0.5 * (p.q_eg + 1j) * geg) ** 2, d
+    a = p.stark_g - 0.5 * (p.q_gg + 2j) * p.gamma_g
+    d = delta + p.stark_e - 0.5 * (p.q_ee + 2j) * p.gamma_e
+    return a, ((p.q_eg + 1j) * geg) ** 2, d
+
+
+def far_detuned_ionization(p: Params, delta: float, model: str, init: str, t: float) -> float:
+    """Independent oracle far from resonance: adiabatic elimination of the
+    excited amplitude (|a - d| >> |b|, |c|) leaves
+    b_g(t) = b_g(0) exp(-i (a + bc/(a - d)) t) and b_e ~ 0.  The
+    four_state dark pair keeps its start population."""
+    a, bc, d = block_entries(p, delta, model)
+    bright0 = 1.0 if init == "bright" or model == "twolevel2" else 0.5
+    dark0 = 0.5 if model == "four_state" and init != "bright" else 0.0
+    return 1.0 - bright0 * np.exp(2.0 * (a + bc / (a - d)).imag * t) - dark0
+
+
 _rate = st.floats(min_value=1e-3, max_value=20.0, allow_nan=False, allow_infinity=False)
 _q = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 _shift = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)

@@ -7,7 +7,15 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import STRONG, ep_params_strategy, make_random_params, params_strategy
+from conftest import (
+    STRONG,
+    T_FAR,
+    block_entries,
+    ep_params_strategy,
+    far_detuned_ionization,
+    make_random_params,
+    params_strategy,
+)
 from lics import (
     INITS,
     MODELS,
@@ -75,6 +83,15 @@ class TestTrappingResidual:
         residuals = [trapping_residual(strong_params, trap + off) for off in (1.0, 5.0, 20.0)]
         assert residuals[0] < residuals[1] < residuals[2]
         assert residuals[2] > 0.1
+
+    @pytest.mark.parametrize("delta", [1e20, 1e100, 1e200])
+    def test_far_detuned_keeps_the_ground_decay_rate(self, strong_params, delta):
+        """By adiabatic elimination the slow eigenvalue is a + bc/(a - d),
+        so the residual tends to gamma_g = 5.5.  LAPACK's eigenvalue error,
+        eps |delta|, swamped it: the residual read 0.0 at 1e20."""
+        a, bc, d = block_entries(strong_params, delta, "bright2")
+        expected = abs((a + bc / (a - d)).imag)
+        assert trapping_residual(strong_params, delta) == pytest.approx(expected, rel=1e-12)
 
     def test_second_eigenvalue_keeps_the_loss(self):
         from lics import bright_hamiltonian, eigenvalues
@@ -218,25 +235,15 @@ class TestScanKernel:
             ("bright2", State(Basis.BRIGHT2, [1.0, 0.0])),
         ],
     )
-    def test_exceptional_point_takes_the_per_point_route(self, model, s0, monkeypatch):
+    def test_exceptional_point_takes_the_per_point_route(self, model, s0):
+        """The closed form is exact at the exceptional point, so the scan
+        gives that point exactly the bits of per-point ``evolve``."""
         p = Params(**EXCEPTIONAL)
-        deltas = np.linspace(-5.25, 14.75, 2001)  # step 0.01, several blocks
+        deltas = np.linspace(-5.25, 14.75, 2001)  # step 0.01
         k = int(np.flatnonzero(deltas == 4.75)[0])
-        fallbacks = []
-        per_point = dynamics.propagate_expm
-
-        def spy(h, start, grid):
-            fallbacks.append(h)
-            return per_point(h, start, grid)
-
-        monkeypatch.setattr(dynamics, "propagate_expm", spy)
         profile = fano_scan(p, deltas, 6.0, s0, model)
-        monkeypatch.undo()
 
-        h_ep = build_hamiltonian(dataclasses.replace(p, delta=4.75), model)
-        assert any(np.array_equal(h, h_ep) for h in fallbacks)
-        assert len(fallbacks) < 10
-        expected = propagate_expm(h_ep, s0, TimeGrid(0.0, 6.0, 2)).ionization[-1]
+        expected = evolve(dataclasses.replace(p, delta=4.75), model, s0, TimeGrid(0.0, 6.0, 2)).ionization[-1]
         assert profile.ionization[k] == expected
         for d, ion in zip(deltas, profile.ionization):
             h = build_hamiltonian(dataclasses.replace(p, delta=float(d)), model)
@@ -265,8 +272,12 @@ class TestScanKernel:
             s0 = dynamics._initial_state(model, init)
             h = build_hamiltonian(p, model)
             traj = propagate_expm(h, s0, grid)
-            for t, amps in zip(grid.times(), traj.amps):
-                assert np.abs(amps - scipy.linalg.expm(-1j * h * t) @ s0.amps).max() < 5e-10
+            closed = evolve(p, model, init, grid)
+            closed_amps = closed.amps if closed.amps_original is None else closed.amps_original
+            for t, amps, amps_closed in zip(grid.times(), traj.amps, closed_amps):
+                exact = scipy.linalg.expm(-1j * h * t) @ s0.amps
+                assert np.abs(amps - exact).max() < 5e-10
+                assert np.abs(amps_closed - exact).max() < 5e-10
             profile = fano_scan(p, deltas, 6.0, init, model)
             ref = [
                 evolve(dataclasses.replace(p, delta=float(d)), model, init, grid).ionization[-1]
@@ -278,32 +289,43 @@ class TestScanKernel:
         "model,init", [("nondegenerate4", "g1"), ("bright2", "bright"), ("twolevel2", "g1")]
     )
     def test_norm_gain_fails_naming_the_detuning(self, strong_params, model, init):
-        """At 1e200 LAPACK's eigenvalue error swamps every decay rate, and
-        the 2x2 models' overflowing residual sends the point to a Pade
-        result that gains norm too: unchecked, the ionization there reads
-        -1.07e14, -1.27e-7 and -4.5e-8."""
+        """At 1e200 LAPACK's eigenvalue error swamps every decay rate, so
+        the nondegenerate4 eigen route gains norm (unchecked, its
+        ionization there reads -1.07e14) and the scan fails naming the
+        detuning.  The 2x2 models take the closed form, which keeps the
+        rates, and return the adiabatic-elimination value where the eigen
+        route read -1.27e-7 and -4.5e-8."""
+        if model != "nondegenerate4":
+            profile = fano_scan(strong_params, [0.0, 1e200], T_FAR, init, model)
+            assert profile.ionization[1] == pytest.approx(
+                far_detuned_ionization(strong_params, 1e200, model, init, T_FAR), abs=1e-12
+            )
+            return
         with pytest.raises(RuntimeError, match=r"delta = 1e\+200") as info:
             fano_scan(strong_params, [0.0, 1e200], 6.0, init, model)
         assert isinstance(info.value.__cause__, ValueError)
         assert "norm grew" in str(info.value.__cause__)
 
     def test_failure_names_the_detuning(self, strong_params):
-        with pytest.raises(RuntimeError, match=r"delta = 1e\+154") as info:
-            fano_scan(strong_params, [0.0, 1e154], 6.0)
-        assert isinstance(info.value.__cause__, ValueError)
         with pytest.raises(RuntimeError, match=r"delta = -?1e\+308"):
             fano_scan(strong_params, [-1e308, 1e308], 6.0)
-        # eigenpairs that pass every check but overflow the amplitudes
-        with pytest.raises(RuntimeError, match=r"delta = 1e\+22"):
-            fano_scan(strong_params, [0.0, 1e22], 6.0, "bright", "bright2")
+        # the eigen route failed at these two points: its amplitudes
+        # overflowed; the closed form returns the far-detuned value
+        for delta, model in ((1e154, "four_state"), (1e22, "bright2")):
+            profile = fano_scan(strong_params, [0.0, delta], T_FAR, "bright", model)
+            assert profile.ionization[1] == pytest.approx(
+                far_detuned_ionization(strong_params, delta, model, "bright", T_FAR), abs=1e-12
+            )
 
     def test_overflow_fails_without_warnings(self, strong_params):
+        """Where the eigen route's amplitudes overflowed, the closed form
+        returns the far-detuned value, without a warning."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(RuntimeError, match=r"delta = 1e\+154") as info:
-                fano_scan(strong_params, [0.0, 1e154], 6.0)
-        assert isinstance(info.value.__cause__, ValueError)
-        assert str(info.value.__cause__) == "amplitudes must be finite"
+            profile = fano_scan(strong_params, [0.0, 1e154], T_FAR)
+        assert profile.ionization[1] == pytest.approx(
+            far_detuned_ionization(strong_params, 1e154, "four_state", "bright", T_FAR), abs=1e-12
+        )
 
     def test_builder_overflow_fails_without_warnings(self, strong_params):
         with warnings.catch_warnings():

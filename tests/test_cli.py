@@ -7,7 +7,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 import pytest
 
-from conftest import STRONG
+from conftest import STRONG, T_FAR, far_detuned_ionization
 from lics import (
     Basis,
     DegeneracyReport,
@@ -491,6 +491,24 @@ class TestMain:
         assert err.startswith("error: propagation failed at delta = 1e+200: the norm grew")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_far_detuned_scan_writes_the_far_value(self, tmp_path, capsys):
+        """The eigen route failed at 1e200 for bright2; the closed form
+        writes the adiabatic-elimination value."""
+        config = tmp_path / "run.conf"
+        out = tmp_path / "out.csv"
+        config.write_text(
+            _cfg_text(
+                "fano", model="bright2", init="bright", delta_min=0.0, delta_max=1e200,
+                delta_steps=2, t_obs=T_FAR, out=out,
+            )
+        )
+        assert main([str(config)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert rows[0] == ["delta", "ionization"] and float(rows[2][0]) == 1e200
+        expected = far_detuned_ionization(Params(**STRONG), 1e200, "bright2", "bright", T_FAR)
+        assert abs(float(rows[2][1]) - expected) < 1e-12
 
     def test_nondeg_goes_through_the_public_writers(self, tmp_path, monkeypatch, capsys):
         calls = []

@@ -20,11 +20,13 @@ from lics import (
     analytic_bright,
     analytic_g1,
     bright_hamiltonian,
+    build_hamiltonian,
     dark_hamiltonian,
     effective_hamiltonian,
     eigensystem,
     eigenvalues,
     evolve,
+    from_bright_dark,
     integrate,
     nondegenerate_hamiltonian,
     propagate_expm,
@@ -358,6 +360,15 @@ class TestIntegrate:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="amplitudes must be finite"):
             integrate(np.diag([1e3j, 0.0]), s0, TimeGrid(0.0, 1.0, 3))
 
+    def test_non_finite_hamiltonian_rejected_without_warnings(self):
+        """gamma_g gamma_e overflows, so the cross coupling is infinite."""
+        h = build_hamiltonian(Params(1e200, 1e200), "nondegenerate4")
+        s0 = State(Basis.ORIGINAL4, [1.0, 0.0, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                integrate(h, s0, TimeGrid(0, 1, 3))
+
     def test_dense_output_hits_grid_times(self):
         h = np.diag([-1j, -2j])
         s0 = State(Basis.BRIGHT2, [1.0, 1.0])
@@ -600,6 +611,22 @@ class TestEvolve:
             with pytest.raises(ValueError, match="matrix entries must be finite"):
                 evolve(p, "four_state", "g1", TimeGrid(0, 1, 3))
 
+    @pytest.mark.parametrize("model,init", [("four_state", "g1"), ("bright2", "bright"), ("twolevel2", "g1")])
+    def test_closed_form_past_the_cosine_overflow(self, model, init):
+        """|Im s| t passes 700 after 72 T (145 T for twolevel2), where
+        cos(st) heads for overflow while e^{-imt} underflows; the closed
+        form then sums the two eigen-exponentials instead."""
+        p = Params(gamma_g=19.0, gamma_e=0.5, stark_g=0.3, q_gg=1.0, q_eg=0.2, delta=2.0)
+        grid = TimeGrid(0.0, 400.0, 41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve(p, model, init, grid)
+        amps = traj.amps if traj.amps_original is None else traj.amps_original
+        h = build_hamiltonian(p, model)
+        s0 = lics.dynamics._initial_state(model, init)
+        for t, a in zip(grid.times(), amps):
+            assert np.abs(a - scipy.linalg.expm(-1j * h * t) @ s0.amps).max() < 1e-10
+
     def test_norm_gain_raises(self, strong_params):
         p = dataclasses.replace(strong_params, delta=1e200)
         with pytest.raises(ValueError, match="norm grew"):
@@ -664,7 +691,7 @@ class TestTrajectory:
         assert traj.basis is Basis.BRIGHTDARK4
         # the stacked map is bit-identical to mapping each sample on its own
         np.testing.assert_array_equal(
-            traj.amps, [to_bright_dark(State(Basis.ORIGINAL4, a)).amps for a in traj.amps_original]
+            traj.amps_original, [from_bright_dark(State(Basis.BRIGHTDARK4, a)).amps for a in traj.amps]
         )
         two = evolve(strong_params, "bright2", "bright", TimeGrid(0.0, 1.0, 5))
         assert two.amps_original is None
