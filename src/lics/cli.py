@@ -46,6 +46,7 @@ from .dynamics import (
     eigensystem,
     evolve,
 )
+from ._text import f2_points, g17_rows
 from .model import Params
 
 __all__ = [
@@ -211,18 +212,27 @@ TRAJECTORY_HEADER = (
 )
 PROFILE_HEADER = "delta,ionization"
 
-# rows per formatted block: the text of a whole trajectory takes far more memory than its numbers
-_CSV_BLOCK = 4096
+# cells per formatted block: formatting takes up to about 360 bytes a cell,
+# far more than the numbers, so neither the table nor its text is held whole
+_CSV_CELLS = 1 << 14
 
 
-def _write_rows(path, header: str, table: np.ndarray) -> None:
-    """Write ``header`` and the rows of a 2-D float table, 17 significant
-    digits per cell so that parsing the text recovers the exact double."""
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", newline="\n") as f:
-        f.write(header + "\n")
-        for start in range(0, len(table), _CSV_BLOCK):
-            f.write("".join(map(line.__mod__, map(tuple, table[start : start + _CSV_BLOCK].tolist()))))
+def _write_rows(path, header: str, n_rows: int, block) -> None:
+    """Write ``header`` and ``n_rows`` rows of a float table, 17 significant
+    digits per cell so that parsing the text recovers the exact double.
+    ``block(rows)`` returns the table's rows in the slice ``rows``; each
+    block is formatted as a whole, into the bytes ``"%.17g" % value``
+    gives for every cell, and written before the next is formed."""
+    step = max(1, _CSV_CELLS // (header.count(",") + 1))
+    with open(path, "wb") as f:
+        f.write(header.encode() + b"\n")
+        for start in range(0, n_rows, step):
+            f.write(g17_rows(block(slice(start, start + step))))
+
+
+def _columns(*columns: np.ndarray):
+    """The ``block`` of ``_write_rows`` for a table of these columns."""
+    return lambda rows: np.column_stack([c[rows] for c in columns])
 
 
 def _one_splitting(report: DegeneracyReport) -> np.ndarray:
@@ -239,20 +249,24 @@ def write_csv(data: Trajectory | FanoProfile | DegeneracyReport, path) -> None:
     (2-state models fill the dark columns with zeros), the populations and
     the ionization; a report row holds the time and both ionizations."""
     if isinstance(data, Trajectory):
-        amps = np.ascontiguousarray(data.amps)
-        if amps.shape[1] == 2:
-            amps = np.hstack([amps, np.zeros_like(amps)])
-        # hypot (Python's abs) and libm's pow keep the digits stable: np.abs and x * x differ in the last bit
-        pops = np.float_power(np.hypot(amps.real, amps.imag), 2.0)
-        table = np.column_stack([data.times, amps.view(np.float64), pops, data.ionization])
-        _write_rows(path, TRAJECTORY_HEADER, table)
+        times = data.times
+
+        def block(rows: slice) -> np.ndarray:
+            amps = np.ascontiguousarray(data.amps[rows])
+            if amps.shape[1] == 2:
+                amps = np.hstack([amps, np.zeros_like(amps)])
+            # hypot (Python's abs) and libm's pow keep the digits stable: np.abs and x * x differ in the last bit
+            pops = np.float_power(np.hypot(amps.real, amps.imag), 2.0)
+            return np.column_stack([times[rows], amps.view(np.float64), pops, data.ionization[rows]])
+
+        _write_rows(path, TRAJECTORY_HEADER, len(times), block)
     elif isinstance(data, FanoProfile):
         if data.deltas.size == 0:
             raise ValueError("cannot write an empty profile")
-        _write_rows(path, PROFILE_HEADER, np.column_stack([data.deltas, data.ionization]))
+        _write_rows(path, PROFILE_HEADER, len(data.deltas), _columns(data.deltas, data.ionization))
     elif isinstance(data, DegeneracyReport):
-        table = np.column_stack([data.times, data.ionization_degenerate, _one_splitting(data)])
-        _write_rows(path, "t,ionization_degenerate,ionization_shifted", table)
+        columns = _columns(data.times, data.ionization_degenerate, _one_splitting(data))
+        _write_rows(path, "t,ionization_degenerate,ionization_shifted", len(data.times), columns)
     else:
         raise TypeError(f"cannot write {type(data).__name__} as CSV")
 
@@ -337,12 +351,10 @@ def _svg_line_plot(path, x: np.ndarray, series: list[tuple[str, np.ndarray]], xl
     )
 
     # px and py work elementwise on arrays, with the same operations as on a float
-    xs = px(np.asarray(x, dtype=float)).tolist()
-    for idx, (name, y) in enumerate(series):
+    points = f2_points(px(np.asarray(x, dtype=float)), (py(np.asarray(y, dtype=float)) for _, y in series))
+    for idx, ((name, _), pts) in enumerate(zip(series, points)):
         color = "#444444" if name == "ionization" else _PALETTE[idx % len(_PALETTE)]
         dash = ' stroke-dasharray="6 4"' if name == "ionization" else ""
-        ys = py(np.asarray(y, dtype=float)).tolist()
-        pts = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.6"{dash} points="{pts}"/>'
         )
@@ -417,15 +429,15 @@ def run(cfg: RunConfig) -> int:
     if cfg.command == "trap":
         value = trapping_delta(cfg.params)
         if cfg.out is not None:
-            _write_rows(cfg.out, "trapping_delta", np.array([[value]]))
+            _write_rows(cfg.out, "trapping_delta", 1, _columns(np.array([value])))
         print(f"trapping delta = {value:.6f}")
         return 0
 
     if cfg.command == "eigen":
         es = eigensystem(build_hamiltonian(cfg.params, cfg.model))
         if cfg.out is not None:
-            table = np.column_stack([np.arange(len(es.values)), es.values.real, es.values.imag])
-            _write_rows(cfg.out, "index,re_lambda,im_lambda", table)
+            columns = _columns(np.arange(len(es.values)), es.values.real, es.values.imag)
+            _write_rows(cfg.out, "index,re_lambda,im_lambda", len(es.values), columns)
         # + 0.0 turns a negative zero from rounding into +0.000000
         shown = ", ".join(f"{v.real:.6f}{round(v.imag, 6) + 0.0:+.6f}i" for v in es.values)
         print(f"eigenvalues ({cfg.model}): {shown}")

@@ -15,7 +15,9 @@ from lics import (
     Params,
     TimeGrid,
     Trajectory,
+    degeneracy_validity,
     evolve,
+    fano_scan,
     trapping_delta,
 )
 from lics import cli
@@ -208,7 +210,8 @@ def _per_cell_csv(traj: Trajectory) -> str:
 
 class TestWriteCsv:
     @pytest.mark.parametrize("basis", [Basis.BRIGHTDARK4, Basis.TWOLEVEL2])
-    @pytest.mark.parametrize("rows", [4095, 4096, 4097])
+    # one block of _write_rows holds _CSV_CELLS // 14 trajectory rows
+    @pytest.mark.parametrize("rows", [cli._CSV_CELLS // 14, 2 * (cli._CSV_CELLS // 14) + 1, 4095, 4096, 4097])
     def test_matches_the_per_cell_writer(self, tmp_path, rows, basis):
         rng = np.random.default_rng(rows)
         shape = (rows, basis.dim)
@@ -297,7 +300,30 @@ class TestWriteCsv:
         assert b"\r" not in raw
 
 
+def _per_pair_points(x, ys):
+    """Reference: the pair-by-pair polyline writer that the array formatter
+    replaced."""
+    xs = np.asarray(x).tolist()
+    for y in ys:
+        yield " ".join(map("%.2f,%.2f".__mod__, zip(xs, np.asarray(y).tolist())))
+
+
 class TestRenderSvg:
+    @pytest.mark.parametrize("kind", ["trajectory", "profile", "report"])
+    def test_matches_the_per_pair_writer(self, tmp_path, monkeypatch, strong_params, weak_params, kind):
+        p = dataclasses.replace(strong_params, delta=trapping_delta(strong_params))
+        if kind == "trajectory":
+            data = evolve(p, "four_state", "g1", TimeGrid(0.0, 6.0, 4001))
+        elif kind == "profile":
+            data = fano_scan(strong_params, np.linspace(-10.0, 10.0, 2001), 6.0)
+        else:
+            q = dataclasses.replace(weak_params, shift_g=0.2, shift_e=0.2)
+            data = degeneracy_validity(q, [0.2], TimeGrid(0.0, 10.0, 51), np.linspace(-3.0, 1.0, 41), 1e-9)
+        render_svg(data, tmp_path / "array.svg")
+        monkeypatch.setattr(cli, "f2_points", _per_pair_points)
+        render_svg(data, tmp_path / "pairs.svg")
+        assert (tmp_path / "array.svg").read_bytes() == (tmp_path / "pairs.svg").read_bytes()
+
     def test_bright_run_has_three_polylines(self, tmp_path, strong_params):
         p = dataclasses.replace(strong_params, delta=trapping_delta(strong_params))
         traj = evolve(p, "four_state", "bright", TimeGrid(0.0, 6.0, 61))

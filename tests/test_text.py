@@ -1,0 +1,90 @@
+"""The array formatters of lics._text against Python's ``%``, byte for byte."""
+
+import numpy as np
+import pytest
+
+from lics import _text
+from lics._text import f2_points, g17_rows
+
+
+def _per_cell_rows(table: np.ndarray) -> bytes:
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return "".join(line % tuple(row) for row in table.tolist()).encode()
+
+
+def _per_pair_points(x: np.ndarray, y: np.ndarray) -> str:
+    return " ".join(map("%.2f,%.2f".__mod__, zip(x.tolist(), y.tolist())))
+
+
+def _g17_values() -> np.ndarray:
+    rng = np.random.default_rng(1611)
+    # random bit patterns below the infinities: every exponent, subnormals included
+    bits = rng.integers(0, 0x7FF0000000000000, size=60_000, dtype=np.int64)
+    random = bits.view(np.float64) * rng.choice([-1.0, 1.0], size=bits.size)
+    decades = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    below = np.array([float(f"9.99999999999999999e{k}") for k in range(-300, 300)])  # rounds up a decade
+    # N * 2**-p with N odd and 18 significant digits: exact ties at the 17th digit
+    ties = np.concatenate([
+        rng.integers(10**j * 2 ** (17 - j), 10 ** (j + 1) * 2 ** (17 - j), size=40) * 2.0 ** (j - 17)
+        for j in range(-7, 17)
+    ])
+    ties = ties[ties * 2.0 ** (17 - np.floor(np.log10(ties))) % 2 == 1]
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               1e-300, 1e300, -1e300, 1.7976931348623157e308, 9.9999999999999996e-281,
+               0.125, 2.5, 1 + 2.0**-17, 0.1, 1 / 3, 123456789012345678.0, 1e16, 1e17]
+    values = np.concatenate([
+        random,
+        decades, np.nextafter(decades, 0.0), np.nextafter(decades, np.inf),
+        below, np.nextafter(below, 0.0), np.nextafter(below, np.inf),
+        ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
+        -ties[::7],
+        rng.normal(size=20_000) * np.exp(rng.uniform(-60.0, 5.0, size=20_000)),
+        special,
+    ])
+    return values
+
+
+class TestG17Rows:
+    def test_matches_percent_over_the_whole_exponent_range(self):
+        values = _g17_values()
+        values = values[: len(values) // 14 * 14]
+        table = values.reshape(-1, 14)
+        assert g17_rows(table) == _per_cell_rows(table)
+
+    def test_exact_ties_round_half_to_even(self):
+        # 1.00000762939453125 and 1.00002288818359375 have 18 significant digits
+        table = np.array([[1 + 2.0**-17, 1 + 3 * 2.0**-17]])
+        assert g17_rows(table) == b"1.0000076293945312,1.0000228881835938\n"
+
+    @pytest.mark.parametrize("cols", [1, 2, 3, 14])
+    def test_separators_and_specials(self, cols):
+        special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, 1e-5, 1e-4, 0.5, 1e16, 1e17, 12.5, -7.0, 1e22]
+        table = np.resize(np.array(special), (len(special), cols))
+        assert g17_rows(table) == _per_cell_rows(table)
+
+
+def _f2_values() -> np.ndarray:
+    rng = np.random.default_rng(1612)
+    k = np.arange(-760.0, 761.0)
+    ties = np.concatenate([k + 0.125, k + 0.375, k + 0.625, k + 0.875, k + 0.005, k + 0.015])
+    special = [0.0, -0.0, 5e-324, -1e-3, 4e-3, -4.999e-3, 9999.995, 10000.0, -1e5, 1e300, np.inf, -np.inf,
+               np.nan]
+    return np.concatenate([
+        ties, np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf),
+        rng.uniform(-50.0, 800.0, size=40_000),
+        rng.uniform(-1.0, 1.0, size=10_000) * 10.0 ** rng.uniform(-10.0, 8.0, size=10_000),
+        special,
+    ])
+
+
+class TestF2Points:
+    def test_matches_percent(self):
+        y = _f2_values()
+        x = np.random.default_rng(1613).permutation(y)
+        assert list(f2_points(x, [y])) == [_per_pair_points(x, y)]
+
+    @pytest.mark.parametrize("n", [1001, _text._F2_CHUNK + 1001])
+    def test_x_is_shared_by_every_series(self, n):
+        x = np.linspace(64.0, 592.0, n)
+        ys = [np.linspace(28.0, 432.0, n), -x, np.full(n, np.nan)]
+        assert list(f2_points(x, ys)) == [_per_pair_points(x, y) for y in ys]
