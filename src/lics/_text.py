@@ -294,17 +294,19 @@ def _f2_cells(values: np.ndarray, sep: bytes, cells: np.ndarray, keep: np.ndarra
     return {i: b"%.2f" % v[i] + sep for i in np.flatnonzero(left).tolist()}
 
 
-def f2_points(x: np.ndarray, ys: Iterable[np.ndarray]) -> Iterator[str]:
-    """For each y: ``" ".join(map("%.2f,%.2f".__mod__, zip(x, y)))``.
-    The points are formatted ``_F2_CHUNK`` at a time, and the x cells of
-    a chunk only when the chunk changes: once for all the series of a
+def f2_points(x: np.ndarray, ys: Iterable[np.ndarray]) -> Iterator[Iterator[bytes]]:
+    """For each y, the bytes of ``" ".join(map("%.2f,%.2f".__mod__, zip(x,
+    y)))`` as an iterator of pieces, one per ``_F2_CHUNK`` points, so that
+    a writer never holds a whole polyline.  The x cells of a chunk are
+    formatted only when the chunk changes: once for all the series of a
     plot of up to ``_F2_CHUNK`` points."""
     cells = np.empty((min(len(x), _F2_CHUNK), 6), dtype="<u4")
     keep = np.empty((len(cells), 24), dtype=bool)
     text = cells.view(np.uint8)
-    formatted = None
-    for y in ys:
-        pieces = []
+    formatted, x_texts = None, {}
+
+    def pieces(y: np.ndarray) -> Iterator[bytes]:
+        nonlocal formatted, x_texts
         for start in range(0, len(x), _F2_CHUNK):
             rows = slice(start, start + _F2_CHUNK)
             n = len(x[rows])
@@ -317,5 +319,9 @@ def f2_points(x: np.ndarray, ys: Iterable[np.ndarray]) -> Iterator[str]:
                 + y_texts.get(i, text[i, 12:][keep[i, 12:]].tobytes())
                 for i in sorted(x_texts.keys() | y_texts.keys())
             }
-            pieces.append(_splice(text[:n], keep[:n], texts))
-        yield b"".join(pieces)[:-1].decode("ascii")
+            piece = _splice(text[:n], keep[:n], texts)
+            # every point ends in a space, which the last one drops
+            yield piece if start + n < len(x) else piece[:-1]
+
+    for y in ys:
+        yield pieces(y)

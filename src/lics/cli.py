@@ -320,56 +320,65 @@ def _svg_line_plot(path, x: np.ndarray, series: list[tuple[str, np.ndarray]], xl
     def py(v: float) -> float:
         return _MT + (ymax - v) / (ymax - ymin) * plot_h
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" '
-        'fill="none" stroke="#222" stroke-width="1"/>',
-    ]
-    for t in _nice_ticks(xmin, xmax):
-        xp = px(t)
-        parts.append(
-            f'<line x1="{xp:.2f}" y1="{_MT + plot_h}" x2="{xp:.2f}" '
-            f'y2="{_MT + plot_h + 5}" stroke="#222"/>'
-        )
-        parts.append(
-            f'<text x="{xp:.2f}" y="{_MT + plot_h + 18}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">{t:g}</text>'
-        )
-    for t in _nice_ticks(ymin, ymax):
-        yp = py(t)
-        parts.append(f'<line x1="{_ML - 5}" y1="{yp:.2f}" x2="{_ML}" y2="{yp:.2f}" stroke="#222"/>')
-        parts.append(
-            f'<text x="{_ML - 8}" y="{yp + 4:.2f}" font-size="11" '
-            f'text-anchor="end" font-family="sans-serif">{t:g}</text>'
-        )
-    parts.append(
-        f'<text x="{_ML + plot_w / 2:.2f}" y="{_HEIGHT - 12}" font-size="12" '
-        f'text-anchor="middle" font-family="sans-serif">{_escape(xlabel)}</text>'
-    )
+    with open(path, "wb") as f:
 
-    # px and py work elementwise on arrays, with the same operations as on a float
-    points = f2_points(px(np.asarray(x, dtype=float)), (py(np.asarray(y, dtype=float)) for _, y in series))
-    for idx, ((name, _), pts) in enumerate(zip(series, points)):
-        color = "#444444" if name == "ionization" else _PALETTE[idx % len(_PALETTE)]
-        dash = ' stroke-dasharray="6 4"' if name == "ionization" else ""
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.6"{dash} points="{pts}"/>'
+        def line(text: str) -> None:
+            f.write(text.encode() + b"\n")
+
+        line('<?xml version="1.0" encoding="UTF-8"?>')
+        line(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+            f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
         )
-        ly = _MT + 16 + 18 * idx
-        lx = _ML + plot_w + 12
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.6"{dash}/>'
+        line(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
+        line(
+            f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" '
+            'fill="none" stroke="#222" stroke-width="1"/>'
         )
-        parts.append(
-            f'<text x="{lx + 28}" y="{ly}" font-size="12" '
-            f'font-family="sans-serif">{_escape(name)}</text>'
+        for t in _nice_ticks(xmin, xmax):
+            xp = px(t)
+            line(
+                f'<line x1="{xp:.2f}" y1="{_MT + plot_h}" x2="{xp:.2f}" '
+                f'y2="{_MT + plot_h + 5}" stroke="#222"/>'
+            )
+            line(
+                f'<text x="{xp:.2f}" y="{_MT + plot_h + 18}" font-size="11" '
+                f'text-anchor="middle" font-family="sans-serif">{t:g}</text>'
+            )
+        for t in _nice_ticks(ymin, ymax):
+            yp = py(t)
+            line(f'<line x1="{_ML - 5}" y1="{yp:.2f}" x2="{_ML}" y2="{yp:.2f}" stroke="#222"/>')
+            line(
+                f'<text x="{_ML - 8}" y="{yp + 4:.2f}" font-size="11" '
+                f'text-anchor="end" font-family="sans-serif">{t:g}</text>'
+            )
+        line(
+            f'<text x="{_ML + plot_w / 2:.2f}" y="{_HEIGHT - 12}" font-size="12" '
+            f'text-anchor="middle" font-family="sans-serif">{_escape(xlabel)}</text>'
         )
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", newline="\n")
+
+        # px and py work elementwise on arrays, with the same operations as on a float
+        points = f2_points(
+            px(np.asarray(x, dtype=float)), (py(np.asarray(y, dtype=float)) for _, y in series)
+        )
+        for idx, ((name, _), pieces) in enumerate(zip(series, points)):
+            color = "#444444" if name == "ionization" else _PALETTE[idx % len(_PALETTE)]
+            dash = ' stroke-dasharray="6 4"' if name == "ionization" else ""
+            # each polyline goes to the file piece by piece, never whole
+            f.write(f'<polyline fill="none" stroke="{color}" stroke-width="1.6"{dash} points="'.encode())
+            f.writelines(pieces)
+            line('"/>')
+            ly = _MT + 16 + 18 * idx
+            lx = _ML + plot_w + 12
+            line(
+                f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
+                f'stroke="{color}" stroke-width="1.6"{dash}/>'
+            )
+            line(
+                f'<text x="{lx + 28}" y="{ly}" font-size="12" '
+                f'font-family="sans-serif">{_escape(name)}</text>'
+            )
+        line("</svg>")
 
 
 def render_svg(data: Trajectory | FanoProfile | DegeneracyReport, path) -> None:

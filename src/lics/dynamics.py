@@ -17,7 +17,8 @@ i dc/dt = H c:
   kernel on stacks of matrices and gets the same bits;
 * ``integrate``: the embedded Dormand-Prince 8(5,3) Runge-Kutta solver
   (DOP853), stepping onto every output time, its twelve stages evaluated
-  as one precomputed polynomial in step·M (M = -i h) per step;
+  as one precomputed polynomial in step·M (M = -i h) per step, and the
+  steps cut short by dense samples taken in runs;
 * ``analytic_bright`` / ``analytic_g1``: closed-form amplitudes, valid
   only when the detuning satisfies the trapping condition.
 
@@ -74,10 +75,11 @@ _RESIDUAL_TOL = 1e-6
 # largest n_samples of a TimeGrid and delta_steps of a scan; 10**6 float64
 # samples are 8 MB, and every grid point costs a propagation
 _MAX_GRID_POINTS = 10**6
-# detunings per stacked LAPACK call in a nondegenerate4 scan: a block's
-# temporaries take about 1.4 KB per detuning, and each block costs about
-# 90 us of Python overhead on top of its eigen-decompositions
-_SCAN_BLOCK = 32
+# detunings per stacked LAPACK call in a nondegenerate4 scan, so that the
+# 201 detunings of a nondeg run are one call: a block's temporaries take
+# about 1.4 KB per detuning (360 KB for a whole block), and each block
+# costs about 90 us of Python overhead on top of its eigen-decompositions
+_SCAN_BLOCK = 256
 # the models that _block_amps propagates; nondegenerate4 does not split
 _BLOCK_MODELS = ("four_state", "bright2", "twolevel2")
 # four_state is propagated as its bright block and its dark diagonal only
@@ -531,11 +533,35 @@ def _fold_tableau() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
+# the longest run of cut steps that integrate computes ahead of its
+# controller: a run that ends early wastes at most this many products
+_MAX_RUN = 64
+# step matrices kept per call, one per distinct sample interval; a
+# linspace grid has few (10 on 401 samples over [0, 40])
+_MAX_CACHED = 64
 
 
-def _error_norm(diff: np.ndarray, scale: np.ndarray) -> float:
+def _error_norm(diff: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """RMS of diff / scale over the last axis, for one error estimate or a
+    stack of them.  ``np.vecdot`` sums each row's squares with the BLAS
+    dot that ``np.vdot`` calls, so every row gets the bits of ``np.vdot``."""
     q = diff / scale
-    return math.sqrt(np.vdot(q, q).real / q.size)
+    return np.sqrt(np.vecdot(q, q).real / q.shape[-1])
+
+
+def _control(e5: float, e3: float, step: float, used: float, cut: bool) -> tuple[bool, float]:
+    """DOP853's controller for a step of length ``used`` whose error
+    estimates have the norms e5 and e3: whether it is accepted, and the
+    step size to try next.  The step-size factor is 0.9 err^(-1/8); after
+    an accepted ``cut`` step, shortened to end on a sample, the next step
+    is never shorter than ``step``, the one proposed before the cut."""
+    # DOP853's error measure, 0 when both estimates vanish
+    err = e5 * e5 / math.hypot(e5, 0.1 * e3) if e5 else 0.0
+    factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err**-0.125)) if err else _MAX_FACTOR
+    # NaN fails this test, so a NaN error rejects the step
+    if err <= 1.0:
+        return True, max(step, used * factor) if cut else used * factor
+    return False, used * min(1.0, factor)
 
 
 def _initial_step(m: np.ndarray, y0: np.ndarray, tol: float, span: float) -> float:
@@ -571,6 +597,19 @@ def integrate(h: CMatrix, s0: State, grid: TimeGrid, tol: float = 1e-10) -> Traj
     that they cannot overflow.  Entirely independent of
     ``propagate_expm``, which makes the two usable as mutual oracles.
 
+    Where the samples are denser than the steps the tolerance needs, the
+    controller sits on a sample with a step longer than the next
+    interval, and every later interval is again one cut step for as long
+    as the errors stay at or below 1, because a cut never shrinks the
+    step.  From such a sample the cut steps are taken in runs: the chain
+    of products first, with one step matrix per distinct interval length,
+    then the error norms of the whole run in one call, then the
+    controller over them, step by step, up to its first rejection or
+    uncut step.  Each product and each decision is the one the step-by-
+    step loop makes, so the result is the same bit for bit.  A run is
+    one step long at first and doubles after each run that is accepted
+    whole, up to ``_MAX_RUN`` steps.
+
     Raises ValueError if an entry of ``h`` is not finite, and
     IntegrationError if the step size collapses below 1e-14 of the
     integration span.
@@ -597,36 +636,74 @@ def integrate(h: CMatrix, s0: State, grid: TimeGrid, tol: float = 1e-10) -> Traj
     polys = np.stack(_fold_tableau(), axis=1)
     table = (polys[:, :, None, None] * powers[:, None]).reshape(_RK_DEGREE + 1, 3 * n * n)
 
-    out_times = grid.times()
+    def step_matrix(used: float) -> np.ndarray:
+        """The rows of y_new, err5 and err3 as one (3n, n) matrix applied to y."""
+        return (((used * nu) ** exponents) @ table).reshape(3 * n, n)
+
+    times = grid.times()
+    # intervals[k - 1] is the length of a cut step from sample k - 1, bit for bit
+    intervals = np.diff(times)
     span = grid.t_end - grid.t_start
-    amp_out = np.empty((len(out_times), n), dtype=np.complex128)
+    min_step = 1e-14 * span
+    amp_out = np.empty((len(times), n), dtype=np.complex128)
     amp_out[0] = s0.amps
 
     t = grid.t_start
     y = s0.amps.copy()
     step = _initial_step(m, y, tol, span)
+    cached: dict[float, np.ndarray] = {}
+    run = 1
 
-    for k in range(1, len(out_times)):
-        tau = out_times[k]
-        while t < tau:
-            if step < 1e-14 * span:
-                raise IntegrationError(f"step size underflow at t = {t:.6g}")
-            cut = tau - t < step
-            used = tau - t if cut else step
-            step_matrices = (((used * nu) ** exponents) @ table).reshape(3 * n, n)
-            y_new, err5, err3 = (step_matrices @ y).reshape(3, n)
-            scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-            # DOP853's error measure, 0 when both estimates vanish
-            e5, e3 = _error_norm(err5, scale), _error_norm(err3, scale)
-            err = e5 * e5 / math.hypot(e5, 0.1 * e3) if e5 else 0.0
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err**-0.125)) if err else _MAX_FACTOR
-            if err <= 1.0:
-                t = tau if cut else t + step
-                y = y_new
-                step = max(step, used * factor) if cut else used * factor
-            else:
-                step = used * min(1.0, factor)
-        amp_out[k] = y
+    k = 1
+    while k < len(times):
+        tau = times.item(k)
+        if not t < tau:
+            amp_out[k] = y
+            k += 1
+            continue
+        if step < min_step:
+            raise IntegrationError(f"step size underflow at t = {t:.6g}")
+        if t == times.item(k - 1) and intervals.item(k - 1) < step:
+            lengths = intervals[k - 1 : k - 1 + run].tolist()
+            # row j + 1 holds y_new, err5 and err3 of the step from row j's y
+            chain = np.empty((len(lengths) + 1, 3 * n), dtype=np.complex128)
+            chain[0, :n] = y
+            for j, used in enumerate(lengths):
+                matrix = cached.get(used)
+                if matrix is None:
+                    matrix = step_matrix(used)
+                    if len(cached) < _MAX_CACHED:
+                        cached[used] = matrix
+                np.matmul(matrix, chain[j, :n], out=chain[j + 1])
+            ys = np.abs(chain[:, :n])
+            scale = tol + tol * np.maximum(ys[:-1], ys[1:])
+            norms = _error_norm(chain[1:, n:].reshape(-1, 2, n), scale[:, None]).tolist()
+            accepted = 0
+            for used, (e5, e3) in zip(lengths, norms):
+                if not used < step:
+                    break
+                ok, step = _control(e5, e3, step, used, True)
+                if not ok:
+                    break
+                accepted += 1
+            if accepted:
+                amp_out[k : k + accepted] = chain[1 : accepted + 1, :n]
+                y = chain[accepted, :n]
+                k += accepted
+                t = times.item(k - 1)
+            run = min(2 * run, _MAX_RUN) if accepted == len(lengths) else 1
+            continue
+        cut = tau - t < step
+        used = tau - t if cut else step
+        full = step_matrix(used) @ y
+        y_new = full[:n]
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+        e5, e3 = _error_norm(full[n:].reshape(2, n), scale).tolist()
+        ok, proposed = _control(e5, e3, step, used, cut)
+        if ok:
+            t = tau if cut else t + step
+            y = y_new
+        step = proposed
 
     return Trajectory(grid, s0.basis, amp_out, _ionization_values(amp_out))
 

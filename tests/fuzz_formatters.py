@@ -60,7 +60,7 @@ def _check_g17(values: np.ndarray) -> tuple[list[str], int]:
 
 
 def _check_f2(values: np.ndarray) -> tuple[list[str], int]:
-    got = next(_text.f2_points(values, [values])).split(" ")
+    got = b"".join(next(_text.f2_points(values, [values]))).decode().split(" ")
     bad = [f"%.2f: {v!r} gave {g}" for v, g in zip(values.tolist(), got) if g != "%.2f,%.2f" % (v, v)]
     cells = np.empty((len(values), 3), dtype="<u4")
     keep = np.empty((len(values), 12), dtype=bool)

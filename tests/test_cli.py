@@ -305,7 +305,7 @@ def _per_pair_points(x, ys):
     replaced."""
     xs = np.asarray(x).tolist()
     for y in ys:
-        yield " ".join(map("%.2f,%.2f".__mod__, zip(xs, np.asarray(y).tolist())))
+        yield [" ".join(map("%.2f,%.2f".__mod__, zip(xs, np.asarray(y).tolist()))).encode()]
 
 
 class TestRenderSvg:

@@ -33,7 +33,17 @@ from lics import (
     to_bright_dark,
     trapping_delta,
 )
-from lics.dynamics import _RK_A, _RK_B, _RK_E3, _RK_E5, _fold_tableau
+from lics.dynamics import (
+    _MAX_FACTOR,
+    _MIN_FACTOR,
+    _RK_A,
+    _RK_B,
+    _RK_DEGREE,
+    _RK_E3,
+    _RK_E5,
+    _SAFETY,
+    _fold_tableau,
+)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _STEP_POLY, _E5_POLY, _E3_POLY = _fold_tableau()
@@ -71,17 +81,100 @@ def _polynomial_step(m, y, step):
 
 
 def _count_step_attempts(monkeypatch):
-    """Wrap ``_error_norm``, which every step attempt calls once for each
-    of its two error estimates; the returned list holds the attempt count."""
+    """Wrap ``_control``, which decides every step the controller takes,
+    accepted or rejected, once; the returned list holds the step count.
+    Steps computed ahead in a run and dropped after a rejection or an
+    uncut step are never decided, so they are not counted."""
     attempts = [0]
-    error_norm = lics.dynamics._error_norm
+    control = lics.dynamics._control
 
-    def counting(diff, scale):
-        attempts[0] += 0.5
-        return error_norm(diff, scale)
+    def counting(e5, e3, step, used, cut):
+        attempts[0] += 1
+        return control(e5, e3, step, used, cut)
 
-    monkeypatch.setattr(lics.dynamics, "_error_norm", counting)
+    monkeypatch.setattr(lics.dynamics, "_control", counting)
     return attempts
+
+
+def _vdot_norm(diff, scale):
+    q = diff / scale
+    return math.sqrt(np.vdot(q, q).real / q.size)
+
+
+def _scalar_integrate(h, s0, grid, tol, decisions, error_norm=_vdot_norm):
+    """Reference: ``integrate`` as a loop of single DOP853 steps, without
+    runs, each with its own step matrix, two error norms and controller
+    decision.  Appends (used step, accepted) to ``decisions`` for every
+    step and returns the amplitudes at the samples."""
+    n = s0.basis.dim
+    m = -1j * np.asarray(h, dtype=np.complex128)
+    nu = max(1.0, float(np.abs(m).sum(axis=0).max()))
+    exponents = np.arange(_RK_DEGREE + 1.0)
+    powers = np.empty((len(exponents), n, n), dtype=np.complex128)
+    powers[0] = np.eye(n)
+    for p in range(1, len(exponents)):
+        powers[p] = powers[p - 1] @ (m / nu)
+    polys = np.stack(_fold_tableau(), axis=1)
+    table = (polys[:, :, None, None] * powers[:, None]).reshape(_RK_DEGREE + 1, 3 * n * n)
+
+    out_times = grid.times()
+    span = grid.t_end - grid.t_start
+    amp_out = np.empty((len(out_times), n), dtype=np.complex128)
+    amp_out[0] = s0.amps
+    t = grid.t_start
+    y = s0.amps.copy()
+    step = lics.dynamics._initial_step(m, y, tol, span)
+    for k in range(1, len(out_times)):
+        tau = out_times[k]
+        while t < tau:
+            if step < 1e-14 * span:
+                raise IntegrationError(f"step size underflow at t = {t:.6g}")
+            cut = tau - t < step
+            used = tau - t if cut else step
+            step_matrices = (((used * nu) ** exponents) @ table).reshape(3 * n, n)
+            y_new, err5, err3 = (step_matrices @ y).reshape(3, n)
+            scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+            e5, e3 = error_norm(err5, scale), error_norm(err3, scale)
+            err = e5 * e5 / math.hypot(e5, 0.1 * e3) if e5 else 0.0
+            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err**-0.125)) if err else _MAX_FACTOR
+            decisions.append((float(used), err <= 1.0))
+            if err <= 1.0:
+                t = tau if cut else t + step
+                y = y_new
+                step = max(step, used * factor) if cut else used * factor
+            else:
+                step = used * min(1.0, factor)
+        amp_out[k] = y
+    return amp_out
+
+
+def _decided_integrate(h, s0, grid, tol, decisions):
+    """``integrate``, appending (used step, accepted) to ``decisions`` for
+    every step its controller decides."""
+    control = lics.dynamics._control
+
+    def recording(e5, e3, step, used, cut):
+        accepted, proposed = control(e5, e3, step, used, cut)
+        decisions.append((used, accepted))
+        return accepted, proposed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lics.dynamics, "_control", recording)
+        return integrate(h, s0, grid, tol).amps
+
+
+def _both_integrators(h, s0, grid, tol, error_norm=_vdot_norm):
+    """(amplitudes, decisions) of ``_scalar_integrate`` and of
+    ``integrate``; the amplitudes are None where IntegrationError ends the
+    run."""
+    results = []
+    for run, kwargs in ((_scalar_integrate, {"error_norm": error_norm}), (_decided_integrate, {})):
+        decisions = []
+        try:
+            results.append((run(h, s0, grid, tol, decisions, **kwargs), decisions))
+        except IntegrationError:
+            results.append((None, decisions))
+    return results
 
 
 class TestTimeGrid:
@@ -355,7 +448,7 @@ class TestIntegrate:
     def test_non_finite_result_rejected(self, monkeypatch):
         """A controller that accepted every step would let an overflow
         through; the finiteness check still refuses it."""
-        monkeypatch.setattr(lics.dynamics, "_error_norm", lambda diff, scale: 0.0)
+        monkeypatch.setattr(lics.dynamics, "_error_norm", lambda diff, scale: np.zeros(diff.shape[:-1]))
         s0 = State(Basis.BRIGHT2, [1e300, 0.0])
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="amplitudes must be finite"):
             integrate(np.diag([1e3j, 0.0]), s0, TimeGrid(0.0, 1.0, 3))
@@ -423,6 +516,81 @@ class TestIntegrate:
         grid = TimeGrid(0.0, 1.0, 11)
         integrate(np.diag([1e-3 + 0j, -2e-3]), State(Basis.BRIGHT2, [1.0, 1.0]), grid, tol=1e-10)
         assert attempts[0] == grid.n_samples
+
+
+class TestCutStepRuns:
+    """Runs of cut steps against the step-by-step loop they replace: the
+    same amplitudes bit for bit and the same accept/reject decisions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        dim=st.sampled_from([2, 4]),
+        log_scale=st.floats(min_value=-1.0, max_value=1.0),
+        t_end=st.floats(min_value=0.1, max_value=20.0),
+        n_samples=st.integers(min_value=2, max_value=401),
+        tol=st.floats(min_value=1e-12, max_value=1e-4),
+    )
+    def test_equals_the_step_by_step_loop(self, seed, dim, log_scale, t_end, n_samples, tol):
+        rng = np.random.default_rng(seed)
+        h = _dissipative_hamiltonian(rng, dim)
+        h *= 10.0**log_scale / np.abs(h).max()
+        s0v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        s0 = State(Basis.ORIGINAL4 if dim == 4 else Basis.BRIGHT2, s0v / np.linalg.norm(s0v))
+        (ref, ref_decisions), (amps, decisions) = _both_integrators(h, s0, TimeGrid(0.0, t_end, n_samples), tol)
+        assert decisions == ref_decisions
+        np.testing.assert_array_equal(amps, ref)
+
+    @pytest.mark.parametrize("rejections", [False, True])
+    def test_the_splitting_system(self, weak_params, monkeypatch, rejections):
+        """The system of the nondeg command on its dense benchmark grid.
+        With ``rejections``, both integrators see error norms raised 1000x
+        wherever the scale's first entry hits a fixed residue, which
+        depends only on the step's bits: about one step in seven is
+        rejected, most of them inside runs."""
+        p = dataclasses.replace(weak_params, delta=trapping_delta(weak_params), shift_g=0.2, shift_e=0.2)
+        s0 = State(Basis.ORIGINAL4, [1.0, 0.0, 0.0, 0.0])
+        grid = TimeGrid(0.0, 40.0, 401)
+        error_norm = _vdot_norm
+        if rejections:
+
+            def raised(norm):
+                def norm_of_a_hit(diff, scale):
+                    hit = np.broadcast_to(scale, diff.shape)[..., 0] * 1e16 % 7.0 < 1.0
+                    return norm(diff, scale) * np.where(hit, 1e3, 1.0)
+
+                return norm_of_a_hit
+
+            error_norm = raised(_vdot_norm)
+            monkeypatch.setattr(lics.dynamics, "_error_norm", raised(lics.dynamics._error_norm))
+        (ref, ref_decisions), (amps, decisions) = _both_integrators(
+            nondegenerate_hamiltonian(p), s0, grid, 1e-12, error_norm=error_norm
+        )
+        assert decisions == ref_decisions
+        np.testing.assert_array_equal(amps, ref)
+        rejected = sum(not accepted for _, accepted in decisions)
+        assert rejected > 20 if rejections else rejected == 0
+
+    def test_a_nan_error_rejects_every_step(self, monkeypatch):
+        """``err <= 1`` is False for NaN: every step is rejected, in a run
+        or alone, until the step size underflows."""
+        h = np.array([[0.4 - 0.1j, 0.3], [0.3, -0.5 - 0.2j]])
+        s0 = State(Basis.BRIGHT2, [1.0, 0.0])
+        monkeypatch.setattr(lics.dynamics, "_error_norm", lambda diff, scale: np.full(diff.shape[:-1], np.nan))
+        monkeypatch.setattr(lics.dynamics, "_initial_step", lambda m, y0, tol, span: span)
+        (ref, ref_decisions), (amps, decisions) = _both_integrators(
+            h, s0, TimeGrid(0.0, 1.0, 11), 1e-8, error_norm=lambda diff, scale: math.nan
+        )
+        assert ref is None and amps is None
+        assert decisions == ref_decisions
+        assert len(decisions) > 10 and not any(accepted for _, accepted in decisions)
+
+    def test_step_underflow(self):
+        h = np.diag([1e16 + 0j, 0.0])
+        s0 = State(Basis.BRIGHT2, [1.0, 0.0])
+        (ref, ref_decisions), (amps, decisions) = _both_integrators(h, s0, TimeGrid(0.0, 1.0, 3), 1e-10)
+        assert ref is None and amps is None
+        assert decisions == ref_decisions
 
 
 class TestFoldedTableau:

@@ -16,6 +16,11 @@ def _per_pair_points(x: np.ndarray, y: np.ndarray) -> str:
     return " ".join(map("%.2f,%.2f".__mod__, zip(x.tolist(), y.tolist())))
 
 
+def _joined(points) -> list[str]:
+    """Each polyline of ``f2_points`` as one string."""
+    return [b"".join(pieces).decode("ascii") for pieces in points]
+
+
 def _g17_values() -> np.ndarray:
     rng = np.random.default_rng(1611)
     # random bit patterns below the infinities: every exponent, subnormals included
@@ -81,10 +86,18 @@ class TestF2Points:
     def test_matches_percent(self):
         y = _f2_values()
         x = np.random.default_rng(1613).permutation(y)
-        assert list(f2_points(x, [y])) == [_per_pair_points(x, y)]
+        assert _joined(f2_points(x, [y])) == [_per_pair_points(x, y)]
 
     @pytest.mark.parametrize("n", [1001, _text._F2_CHUNK + 1001])
     def test_x_is_shared_by_every_series(self, n):
         x = np.linspace(64.0, 592.0, n)
         ys = [np.linspace(28.0, 432.0, n), -x, np.full(n, np.nan)]
-        assert list(f2_points(x, ys)) == [_per_pair_points(x, y) for y in ys]
+        assert _joined(f2_points(x, ys)) == [_per_pair_points(x, y) for y in ys]
+
+    def test_one_piece_per_chunk(self):
+        """A polyline comes in pieces of ``_F2_CHUNK`` points, so that its
+        writer never holds it whole."""
+        x = np.linspace(64.0, 592.0, 2 * _text._F2_CHUNK + 1)
+        pieces = list(next(f2_points(x, [x])))
+        assert len(pieces) == 3
+        assert [piece.count(b" ") for piece in pieces] == [_text._F2_CHUNK, _text._F2_CHUNK, 0]
