@@ -8,8 +8,11 @@ digits come from the exact double-double product of the value and a
 power of ten (Dekker, Numer. Math. 18 (1971) 224-242).  As in Grisu3
 (Loitsch, PLDI 2010), a cell the arithmetic cannot decide goes to ``%``:
 one whose scaled value lies within ``_TIE`` of a rounding tie, one that
-is not finite and, for ``%.2f``, one not below ``_F2_MAX``.  The tables
-are built on first use, not at import.
+is not finite and, for ``%.2f``, one that is negative or not below
+``_F2_MAX``.  Its text goes into its own row, which holds any ``%.17g``
+text and any ``%.2f`` text below 1e7 in magnitude; a polyline chunk with
+a longer one is formatted whole by ``%``.  The tables are built on first
+use, not at import.
 """
 
 from __future__ import annotations
@@ -184,23 +187,6 @@ def _g17_digits(a: np.ndarray):
     return d, x, undecided
 
 
-def _splice(rows: np.ndarray, keep: np.ndarray, texts: dict[int, bytes]) -> bytes:
-    """The kept bytes of ``rows``, with ``texts[i]`` in place of row i."""
-    if texts:
-        keep = keep.copy()
-        keep[list(texts)] = False
-    body = np.compress(keep.ravel(), rows).tobytes()
-    if not texts:
-        return body
-    ends = np.cumsum(keep.sum(axis=1))
-    parts, start = [], 0
-    for i, text in sorted(texts.items()):
-        parts += [body[start : ends[i]], text]
-        start = ends[i]
-    parts.append(body[start:])
-    return b"".join(parts)
-
-
 def g17_rows(table: np.ndarray) -> bytes:
     """The rows of a 2-D float table as ``%.17g`` cells, joined by commas
     and ended by a newline: the bytes of ``(",".join(["%.17g"] * cols) +
@@ -237,14 +223,15 @@ def g17_rows(table: np.ndarray) -> bytes:
         quarters = row.view("<u4")
         quarters[mid] = np.take_along_axis(quarters[mid], np.take(words, cls[mid], axis=0), axis=1)
     keep = np.take(masks, (2 * np.take(kind, cls) + np.signbit(v)) * 18 + nsig, axis=0)
-    texts = {
-        i: b"%.17g" % v[i] + (b"\n" if i % cols == cols - 1 else b",")
-        for i in np.flatnonzero(bad | undecided).tolist()
-    }
-    return _splice(row.view(np.uint8), keep, texts)
+    text = row.view(np.uint8)
+    for i in np.flatnonzero(bad | undecided).tolist():
+        cell = b"%.17g" % v[i] + (b"\n" if i % cols == cols - 1 else b",")  # at most 25 bytes
+        text[i, : len(cell)] = np.frombuffer(cell, dtype=np.uint8)
+        keep[i] = np.arange(32) < len(cell)
+    return np.compress(keep.ravel(), text).tobytes()
 
 
-_F2_MAX = 1e4  # %.2f cells of larger magnitude go to %: at most 5 of the 6 whole digits
+_F2_MAX = 1e4  # %.2f cells at or above it go to %; SVG coordinates stay below 1e3
 _F2_CHUNK = 1 << 16  # points per formatted chunk, so that a long polyline's arrays stay small
 
 
@@ -256,14 +243,12 @@ def _pairs(sep: bytes) -> tuple[np.ndarray, np.ndarray]:
     return dot, np.frombuffer(b"".join(p + sep + sep for p in pairs), dtype="<u4")
 
 
-def _f2_cells(values: np.ndarray, sep: bytes, cells: np.ndarray, keep: np.ndarray) -> dict[int, bytes]:
-    """Write ``"%.2f" % v + sep`` of each value into the rows of ``cells``,
-    (n, 3) little-endian uint32, and the mask of its kept bytes into ``keep``, (n, 12);
-    return the text of each cell left to ``%``."""
-    v = np.asarray(values, dtype=float)
-    a = np.abs(v)
-    left = ~(a < _F2_MAX)
-    a[left] = 0.0
+def _f2_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cents of each value as an integer and a mask of the cells left
+    to ``%``: those that are negative (-0.0 too), not below ``_F2_MAX`` or
+    not a number, and those within ``_TIE`` of a rounding tie."""
+    left = np.signbit(v) | ~(v < _F2_MAX)
+    a = np.where(left, 0.0, v)
     # a * 100 = p + err exactly: 100 has 7 bits, so a's Dekker halves times 100 are exact
     p = a * 100.0
     t = a * _SPLIT
@@ -272,7 +257,16 @@ def _f2_cells(values: np.ndarray, sep: bytes, cells: np.ndarray, keep: np.ndarra
     whole = np.floor(p)
     frac = (p - whole) + err
     left |= np.abs(frac - 0.5) < _TIE
-    n = whole.astype(np.int64) + (frac > 0.5)
+    return whole.astype(np.int64) + (frac > 0.5), left
+
+
+def _f2_cells(values: np.ndarray, sep: bytes, cells: np.ndarray, keep: np.ndarray) -> bool:
+    """Write ``"%.2f" % v + sep`` of each value into its row of ``cells``,
+    (n, 3) little-endian uint32, and the mask of its bytes into ``keep``,
+    (n, 12); return False, with the rows unfinished, if a text left to
+    ``%`` is longer than its row."""
+    v = np.asarray(values, dtype=float)
+    n, left = _f2_digits(v)
     units = n // 100
     hundreds = units // 100
     quads, _ = _quads()
@@ -286,12 +280,14 @@ def _f2_cells(values: np.ndarray, sep: bytes, cells: np.ndarray, keep: np.ndarra
     keep[:, 7] = False
     keep[:, 8:11] = True
     keep[:, 11] = False
-    negative = np.flatnonzero(np.signbit(v))
-    if negative.size:  # the sign takes the place of the last zero before the first digit
-        at = 4 - np.count_nonzero(keep[negative, :5], axis=1)
-        cells.view(np.uint8)[negative, at] = ord("-")
-        keep[negative, at] = True
-    return {i: b"%.2f" % v[i] + sep for i in np.flatnonzero(left).tolist()}
+    text = cells.view(np.uint8)
+    for i in np.flatnonzero(left).tolist():
+        cell = b"%.2f" % v[i] + sep
+        if len(cell) > 12:  # |v| >= 1e7
+            return False
+        text[i, : len(cell)] = np.frombuffer(cell, dtype=np.uint8)
+        keep[i] = np.arange(12) < len(cell)
+    return True
 
 
 def f2_points(x: np.ndarray, ys: Iterable[np.ndarray]) -> Iterator[Iterator[bytes]]:
@@ -303,23 +299,21 @@ def f2_points(x: np.ndarray, ys: Iterable[np.ndarray]) -> Iterator[Iterator[byte
     cells = np.empty((min(len(x), _F2_CHUNK), 6), dtype="<u4")
     keep = np.empty((len(cells), 24), dtype=bool)
     text = cells.view(np.uint8)
-    formatted, x_texts = None, {}
+    formatted, x_fits = None, False
 
     def pieces(y: np.ndarray) -> Iterator[bytes]:
-        nonlocal formatted, x_texts
+        nonlocal formatted, x_fits
         for start in range(0, len(x), _F2_CHUNK):
             rows = slice(start, start + _F2_CHUNK)
             n = len(x[rows])
             if formatted != rows:
-                x_texts = _f2_cells(x[rows], b",", cells[:n, :3], keep[:n, :12])
+                x_fits = _f2_cells(x[rows], b",", cells[:n, :3], keep[:n, :12])
                 formatted = rows
-            y_texts = _f2_cells(y[rows], b" ", cells[:n, 3:], keep[:n, 12:])
-            texts = {
-                i: x_texts.get(i, text[i, :12][keep[i, :12]].tobytes())
-                + y_texts.get(i, text[i, 12:][keep[i, 12:]].tobytes())
-                for i in sorted(x_texts.keys() | y_texts.keys())
-            }
-            piece = _splice(text[:n], keep[:n], texts)
+            if x_fits and _f2_cells(y[rows], b" ", cells[:n, 3:], keep[:n, 12:]):
+                piece = np.compress(keep[:n].ravel(), text[:n]).tobytes()
+            else:  # a cell too long for its row: the chunk as % gives it
+                points = zip(x[rows].tolist(), y[rows].tolist())
+                piece = "".join(map("%.2f,%.2f ".__mod__, points)).encode()
             # every point ends in a space, which the last one drops
             yield piece if start + n < len(x) else piece[:-1]
 

@@ -285,9 +285,9 @@ def _escape(text: str) -> str:
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
-    if span <= 0:
-        return [lo]
     raw = span / 6  # about six ticks per axis
+    if not 0 < raw < np.inf:  # an empty span, or one that underflows or overflows
+        return [lo] if span <= 0 else [lo, hi]
     mag = 10.0 ** np.floor(np.log10(raw))
     step = next(s * mag for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw)
     first = np.ceil(lo / step) * step
@@ -295,16 +295,18 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     t = first
     while t <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(t) < 1e-12 * span else float(t))
+        if t + step == t:  # a step below half an ulp of t
+            break
         t += step
     return ticks
 
 
 def _svg_line_plot(path, x: np.ndarray, series: list[tuple[str, np.ndarray]], xlabel: str) -> None:
-    if len(x) == 0 or not series:
+    if len(x) == 0:
         raise ValueError("cannot plot empty data")
     xmin, xmax = float(np.min(x)), float(np.max(x))
-    if xmax == xmin:
-        xmax = xmin + 1.0
+    if xmax == xmin:  # + 1.0 alone is absorbed from 2**53 on
+        xmax = max(xmin + 1.0, float(np.nextafter(xmin, np.inf)))
     ymin = min(0.0, *(float(np.min(y)) for _, y in series))
     ymax = max(float(np.max(y)) for _, y in series)
     if ymax <= ymin:
@@ -396,8 +398,6 @@ def render_svg(data: Trajectory | FanoProfile | DegeneracyReport, path) -> None:
         series.append(("ionization", data.ionization))
         _svg_line_plot(path, data.times, series, "t / T")
     elif isinstance(data, FanoProfile):
-        if data.deltas.size == 0:
-            raise ValueError("cannot plot an empty profile")
         _svg_line_plot(path, data.deltas, [("ionization", data.ionization)], "delta (1/T)")
     elif isinstance(data, DegeneracyReport):
         series = [("degenerate", data.ionization_degenerate), ("shifted", _one_splitting(data))]
@@ -456,6 +456,8 @@ def run(cfg: RunConfig) -> int:
         raise ConfigError(f"unknown command {cfg.command!r}, expected one of {COMMANDS}")
 
     out = _require_out(cfg)
+    if cfg.plot and Path(out).suffix.lower() == ".svg":
+        raise ConfigError(f"out {out!r} ends in .svg, so the plot would overwrite the CSV")
     if cfg.command == "evolve":
         data = evolve(cfg.params, cfg.model, cfg.init, TimeGrid(cfg.t_start, cfg.t_end, cfg.n_samples))
         summary = (

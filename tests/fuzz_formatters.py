@@ -10,8 +10,9 @@ mismatch and the share of cells the arithmetic left to ``%``, and exits
 with status 1 on any mismatch.  The ``%.17g`` values are random bit
 patterns, so every binary exponent and the subnormals are drawn equally
 often, mixed with powers of ten, their neighbours and non-finite values;
-the ``%.2f`` values are spread over the plot range and beyond.  The file
-name does not match ``test_*.py``, so pytest does not collect it.
+the ``%.2f`` values are spread over the plot range and beyond, and every
+negative one goes to ``%``.  The file name does not match ``test_*.py``,
+so pytest does not collect it; ``tests/test_fuzz.py`` runs it briefly.
 """
 
 from __future__ import annotations
@@ -62,9 +63,7 @@ def _check_g17(values: np.ndarray) -> tuple[list[str], int]:
 def _check_f2(values: np.ndarray) -> tuple[list[str], int]:
     got = b"".join(next(_text.f2_points(values, [values]))).decode().split(" ")
     bad = [f"%.2f: {v!r} gave {g}" for v, g in zip(values.tolist(), got) if g != "%.2f,%.2f" % (v, v)]
-    cells = np.empty((len(values), 3), dtype="<u4")
-    keep = np.empty((len(values), 12), dtype=bool)
-    return bad, len(_text._f2_cells(values, b" ", cells, keep))
+    return bad, np.count_nonzero(_text._f2_digits(values)[1])
 
 
 def main(argv=None) -> int:

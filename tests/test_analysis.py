@@ -366,6 +366,11 @@ class TestDefaultDeltaGrid:
 
 
 class TestAsymptoticSurvival:
+    @pytest.mark.parametrize("init", ["g3", "dark", None])
+    def test_unknown_init_rejected(self, strong_params, init):
+        with pytest.raises(ValueError, match="unknown init"):
+            asymptotic_survival(_at_trap(strong_params), init)
+
     def test_bright_start(self, strong_params):
         assert asymptotic_survival(_at_trap(strong_params), "bright") == pytest.approx(
             0.6984649, abs=1e-7

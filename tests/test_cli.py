@@ -1,6 +1,7 @@
 import dataclasses
 import textwrap
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
@@ -577,3 +578,96 @@ class TestMain:
         assert main([str(config), "--out", str(out_a)]) == 0
         assert main([str(config), "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def _empty_profile() -> FanoProfile:
+    return FanoProfile(np.array([]), np.array([]), 6.0, "four_state", "g1")
+
+
+def _run_config(command: str, out: str = "x.csv", **extra):
+    """A call that runs a configuration writing to ``out`` in a given directory."""
+    return lambda tmp: run(parse_config(_cfg_text(command, out=tmp / out, **extra)))
+
+
+class TestRejections:
+    """Each rejection path of the CLI module, by the message it raises."""
+
+    @pytest.mark.parametrize(
+        "call,error,match",
+        [
+            (lambda tmp: parse_config(_cfg_text("evolve", n_samples=2.5)), ConfigError, "must be an integer"),
+            (lambda tmp: parse_config(_cfg_text("evolve", t_end="")), ConfigError, "empty value for 't_end'"),
+            (lambda tmp: write_csv(_empty_profile(), tmp / "x.csv"), ValueError, "empty profile"),
+            (lambda tmp: write_csv(object(), tmp / "x.csv"), TypeError, "cannot write object"),
+            (lambda tmp: render_svg(_empty_profile(), tmp / "x.svg"), ValueError, "cannot plot empty data"),
+            (lambda tmp: render_svg(object(), tmp / "x.svg"), TypeError, "cannot plot object"),
+            (_run_config("fano", delta_min=1.0, delta_max=1.0), ConfigError, "delta_max must exceed"),
+            (
+                lambda tmp: run(RunConfig(params=Params(**STRONG), command="scan", out=str(tmp / "x.csv"))),
+                ConfigError,
+                "unknown command 'scan'",
+            ),
+            (_run_config("nondeg", shift_g=0.2, shift_e=0.1), ConfigError, "shift_g == shift_e"),
+            # the plot goes to the out path with the suffix .svg, which would be the CSV itself
+            (_run_config("evolve", "x.svg", n_samples=11, plot="true"), ConfigError, "out '.*x.svg'"),
+            (_run_config("fano", "x.SVG", delta_steps=11, plot="true"), ConfigError, "out '.*x.SVG'"),
+        ],
+    )
+    def test_rejected_and_nothing_written(self, tmp_path, call, error, match):
+        with pytest.raises(error, match=match):
+            call(tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestDegenerateAxes:
+    """Plots whose axis spans a few ulps, underflows or overflows."""
+
+    @pytest.mark.parametrize(
+        "lo,hi,ticks",
+        [
+            (1.0, 1.0000000000000002, 1),  # the step is below half an ulp of 1
+            (1e20, 1.0000000000000002e20, 1),
+            (0.0, 5e-324, 2),  # the span's sixth underflows to zero
+            (-1e308, 1e308, 2),  # the span overflows
+        ],
+    )
+    def test_ticks_end_without_warnings(self, lo, hi, ticks):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(cli._nice_ticks(lo, hi)) == ticks
+
+    def test_ticks_of_an_ordinary_axis(self):
+        assert cli._nice_ticks(0.0, 6.0) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert cli._nice_ticks(-10.0, 10.0) == [-10.0, -5.0, 0.0, 5.0, 10.0]
+
+    def test_one_far_detuned_point(self, tmp_path):
+        """1e20 + 1.0 is 1e20: the x axis of a single point must still widen."""
+        path = tmp_path / "far.svg"
+        render_svg(fano_scan(Params(**STRONG), [1e20], 6.0), path)
+        polyline = ET.parse(path).getroot().find("{http://www.w3.org/2000/svg}polyline")
+        assert polyline.get("points").startswith("64.00,")
+
+    def test_all_zero_profile(self, tmp_path):
+        """Without loss (gamma_g = gamma_e = 0) the ionization is 0 everywhere:
+        the y axis gets a unit span."""
+        path = tmp_path / "flat.svg"
+        deltas = np.linspace(-1.0, 1.0, 5)
+        profile = fano_scan(Params(gamma_g=0.0, gamma_e=0.0), deltas, 6.0, "g1", "nondegenerate4")
+        assert not profile.ionization.any()
+        render_svg(profile, path)
+        labels = [t.text for t in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert labels[labels.index("-1") + 5 :][:6] == ["0", "0.2", "0.4", "0.6", "0.8", "1"]
+
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("evolve", dict(t_start=1, t_end=1.0000000000000002, n_samples=2)),
+            ("fano", dict(delta_min=1e20, delta_max=1.0000000000000002e20, delta_steps=2)),
+        ],
+    )
+    def test_runs_of_a_few_ulps_finish(self, tmp_path, command, extra):
+        config = tmp_path / "run.conf"
+        out = tmp_path / "run.csv"
+        config.write_text(_cfg_text(command, plot="true", out=out, **extra))
+        assert main([str(config)]) == 0
+        ET.parse(out.with_suffix(".svg"))

@@ -42,6 +42,7 @@ from lics.dynamics import (
     _RK_E3,
     _RK_E5,
     _SAFETY,
+    _expm_pade,
     _fold_tableau,
 )
 
@@ -388,6 +389,12 @@ class TestPropagateExpm:
 
 
 class TestIntegrate:
+    def test_zero_hamiltonian_keeps_the_state(self):
+        """With h = 0 the first-step estimate has no derivative to scale by."""
+        s0 = State(Basis.BRIGHT2, [0.6, 0.8j])
+        traj = integrate(np.zeros((2, 2), dtype=complex), s0, TimeGrid(0.0, 1.0, 5))
+        assert np.array_equal(traj.amps, np.tile(s0.amps, (5, 1)))
+
     def test_tolerance_bounds(self):
         s0 = State(Basis.BRIGHT2, [1.0, 0.0])
         with pytest.raises(ValueError):
@@ -893,3 +900,46 @@ class TestTrajectory:
         assert np.abs(closed - via_expm).max() < 1e-8
         assert np.abs(closed - via_rk).max() < 1e-8
         assert np.abs(via_expm - via_rk).max() < 1e-8
+
+
+class TestRejections:
+    @pytest.mark.parametrize(
+        "call,match",
+        [
+            (lambda: eigensystem(np.array([[1.0, np.nan], [0.0, 1.0]])), "entries must be finite"),
+            (lambda: eigensystem(np.full((3, 4, 4), np.inf)), "entries must be finite"),
+            # row sums of 2**1023 and inf: 2.0**squarings would overflow
+            (lambda: _expm_pade(np.full((2, 2), 2.0**1022, dtype=complex)), "out of range for the Pade"),
+            (lambda: _expm_pade(np.diag([np.inf, 0.0]).astype(complex)), "out of range for the Pade"),
+            (lambda: integrate(np.eye(4), State(Basis.BRIGHT2, [1, 0]), TimeGrid(0, 1, 3)), "does not match"),
+        ],
+    )
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+class TestScanFallback:
+    def test_block_lapack_fails_on_runs_per_point(self, monkeypatch, strong_params):
+        """A block of a nondegenerate4 scan that LAPACK fails on is run
+        point by point by evolve, bit for bit."""
+        eigensystem_of = lics.dynamics.eigensystem
+        failed = []
+
+        def fail_on_stacks(m):
+            if np.ndim(m) == 3 and len(m) > 1:
+                failed.append(len(m))
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigensystem_of(m)
+
+        monkeypatch.setattr(lics.dynamics, "eigensystem", fail_on_stacks)
+        p = dataclasses.replace(strong_params, shift_g=0.2, shift_e=0.2)
+        deltas = np.linspace(-3.0, 3.0, 7)
+        scan = lics.fano_scan(p, deltas, 6.0, "g1", "nondegenerate4")
+        assert failed == [7]
+        grid = TimeGrid(0.0, 6.0, 2)
+        per_point = [
+            evolve(dataclasses.replace(p, delta=d), "nondegenerate4", "g1", grid).ionization[-1]
+            for d in deltas.tolist()
+        ]
+        assert scan.ionization.tolist() == per_point

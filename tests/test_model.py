@@ -34,6 +34,11 @@ class TestParams:
         with pytest.raises(ValueError, match="finite"):
             Params(gamma_g=1.0, gamma_e=1.0, delta=float("inf"))
 
+    @pytest.mark.parametrize("value", ["1.0", True, None])
+    def test_non_number_rejected(self, value):
+        with pytest.raises(ValueError, match="gamma_e must be a real number"):
+            Params(gamma_g=1.0, gamma_e=value)
+
     def test_cross_rate_is_geometric_mean(self):
         p = Params(gamma_g=1.0, gamma_e=4.0)
         assert p.gamma_eg == 2.0

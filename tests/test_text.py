@@ -101,3 +101,17 @@ class TestF2Points:
         pieces = list(next(f2_points(x, [x])))
         assert len(pieces) == 3
         assert [piece.count(b" ") for piece in pieces] == [_text._F2_CHUNK, _text._F2_CHUNK, 0]
+
+    def test_a_cell_too_long_for_its_row_sends_its_chunk_to_percent(self):
+        """-1e7 and 1e7 take 13 bytes with their separator, one more than a
+        row; -9999999.99 fills its row, and every other chunk stays fast."""
+        n = _text._F2_CHUNK + 10
+        x = np.linspace(64.0, 592.0, n)
+        x[[5, -5]] = -9999999.99, -3.0
+        y = np.linspace(28.0, 432.0, n)
+        y_long = y.copy()
+        y_long[7] = -1e7
+        x_long = x.copy()
+        x_long[-1] = 1e7
+        for x in (x, x_long):
+            assert _joined(f2_points(x, [y_long, y])) == [_per_pair_points(x, y_long), _per_pair_points(x, y)]

@@ -169,6 +169,11 @@ class TestState:
         with pytest.raises(ValueError, match="amplitudes"):
             State(Basis.BRIGHT2, [1, 0, 0, 0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            State(Basis.BRIGHT2, [bad, 0.0])
+
     def test_amplitudes_are_copied(self):
         raw = np.array([1.0 + 0j, 0, 0, 0])
         s = State(Basis.ORIGINAL4, raw)
