@@ -283,7 +283,7 @@ def _f2_cells(values: np.ndarray, sep: bytes, cells: np.ndarray, keep: np.ndarra
     text = cells.view(np.uint8)
     for i in np.flatnonzero(left).tolist():
         cell = b"%.2f" % v[i] + sep
-        if len(cell) > 12:  # |v| >= 1e7
+        if len(cell) > 12:  # v <= -1e7 or v >= 1e8
             return False
         text[i, : len(cell)] = np.frombuffer(cell, dtype=np.uint8)
         keep[i] = np.arange(12) < len(cell)

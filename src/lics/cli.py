@@ -294,7 +294,8 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     ticks = []
     t = first
     while t <= hi + 1e-9 * span:
-        ticks.append(0.0 if abs(t) < 1e-12 * span else float(t))
+        if t >= lo - 1e-9 * span:  # first can round below lo on a span of a few ulps
+            ticks.append(0.0 if abs(t) < 1e-12 * span else float(t))
         if t + step == t:  # a step below half an ulp of t
             break
         t += step

@@ -623,18 +623,19 @@ class TestDegenerateAxes:
     """Plots whose axis spans a few ulps, underflows or overflows."""
 
     @pytest.mark.parametrize(
-        "lo,hi,ticks",
+        "lo,hi",
         [
-            (1.0, 1.0000000000000002, 1),  # the step is below half an ulp of 1
-            (1e20, 1.0000000000000002e20, 1),
-            (0.0, 5e-324, 2),  # the span's sixth underflows to zero
-            (-1e308, 1e308, 2),  # the span overflows
+            (1.0, 1.0000000000000002),  # the step is below half an ulp of 1
+            (1e20, 1.0000000000000002e20),
+            (0.0, 5e-324),  # the span's sixth underflows to zero
+            (-1e308, 1e308),  # the span overflows
         ],
     )
-    def test_ticks_end_without_warnings(self, lo, hi, ticks):
+    def test_ticks_end_without_warnings(self, lo, hi):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert len(cli._nice_ticks(lo, hi)) == ticks
+            ticks = cli._nice_ticks(lo, hi)
+        assert all(lo <= t <= hi for t in ticks)
 
     def test_ticks_of_an_ordinary_axis(self):
         assert cli._nice_ticks(0.0, 6.0) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
@@ -670,4 +671,5 @@ class TestDegenerateAxes:
         out = tmp_path / "run.csv"
         config.write_text(_cfg_text(command, plot="true", out=out, **extra))
         assert main([str(config)]) == 0
-        ET.parse(out.with_suffix(".svg"))
+        labels = ET.parse(out.with_suffix(".svg")).getroot().iter("{http://www.w3.org/2000/svg}text")
+        assert all(0 <= float(t.get("x")) <= cli._WIDTH for t in labels)

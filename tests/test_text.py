@@ -82,10 +82,28 @@ def _f2_values() -> np.ndarray:
     ])
 
 
+def _fits_a_row(v: np.ndarray) -> np.ndarray:
+    return np.array([len(b"%.2f," % c) <= 12 for c in v.tolist()])
+
+
 class TestF2Points:
     def test_matches_percent(self):
+        """Every chunk fits its rows, so each cell is either built by the
+        fast path or written into its row by %."""
         y = _f2_values()
+        y = y[_fits_a_row(y)]
         x = np.random.default_rng(1613).permutation(y)
+        for start in range(0, len(x), _text._F2_CHUNK):
+            for v in (x, y):
+                chunk = v[start : start + _text._F2_CHUNK]
+                cells = np.empty((len(chunk), 3), dtype="<u4")
+                assert _text._f2_cells(chunk, b",", cells, np.empty((len(chunk), 12), dtype=bool))
+        assert _joined(f2_points(x, [y])) == [_per_pair_points(x, y)]
+
+    def test_matches_percent_with_cells_too_long_for_their_rows(self):
+        y = _f2_values()
+        assert not _fits_a_row(y).all()
+        x = np.random.default_rng(1614).permutation(y)
         assert _joined(f2_points(x, [y])) == [_per_pair_points(x, y)]
 
     @pytest.mark.parametrize("n", [1001, _text._F2_CHUNK + 1001])
@@ -103,8 +121,8 @@ class TestF2Points:
         assert [piece.count(b" ") for piece in pieces] == [_text._F2_CHUNK, _text._F2_CHUNK, 0]
 
     def test_a_cell_too_long_for_its_row_sends_its_chunk_to_percent(self):
-        """-1e7 and 1e7 take 13 bytes with their separator, one more than a
-        row; -9999999.99 fills its row, and every other chunk stays fast."""
+        """-1e7 takes 13 bytes with its separator, one more than a row;
+        -9999999.99 fills its row, and every other chunk stays fast."""
         n = _text._F2_CHUNK + 10
         x = np.linspace(64.0, 592.0, n)
         x[[5, -5]] = -9999999.99, -3.0
@@ -112,6 +130,10 @@ class TestF2Points:
         y_long = y.copy()
         y_long[7] = -1e7
         x_long = x.copy()
-        x_long[-1] = 1e7
+        x_long[-1] = -1e7
+        for v, fits in ((y_long[: _text._F2_CHUNK], False), (x[_text._F2_CHUNK :], True),
+                        (x_long[_text._F2_CHUNK :], False)):
+            cells = np.empty((len(v), 3), dtype="<u4")
+            assert _text._f2_cells(v, b",", cells, np.empty((len(v), 12), dtype=bool)) == fits
         for x in (x, x_long):
             assert _joined(f2_points(x, [y_long, y])) == [_per_pair_points(x, y_long), _per_pair_points(x, y)]
