@@ -3,9 +3,10 @@ Python string per number.
 
 ``g17_rows`` formats a table as ``%.17g`` CSV rows and ``f2_points`` a
 polyline as ``%.2f,%.2f`` pairs.  Each cell is built in a fixed-width
-row of bytes, and one boolean mask keeps the bytes of its text.  The 17
-digits come from the exact double-double product of the value and a
-power of ten (Dekker, Numer. Math. 18 (1971) 224-242).  As in Grisu3
+row of bytes, and one mask keeps the bytes of its text; the rows are
+compacted 64 KiB at a time, so no index of every kept byte is formed.
+The 17 digits come from the exact double-double product of the value
+and a power of ten (Dekker, Numer. Math. 18 (1971) 224-242).  As in Grisu3
 (Loitsch, PLDI 2010), a cell the arithmetic cannot decide goes to ``%``:
 one whose scaled value lies within ``_TIE`` of a rounding tie, one that
 is not finite and, for ``%.2f``, one that is negative or not below
@@ -130,8 +131,9 @@ def _layout(x: int | None) -> tuple[list[int], list[int]]:
 def _templates() -> tuple[np.ndarray, ...]:
     """Per class c (0 for zero, else X - _X_MIN + 1): the words of
     ``_layout``, the kind k of its kept bytes, and the last word of the
-    row at c * 2 + (the cell ends a line); and the mask of the kept bytes
-    at row (k * 2 + negative) * 18 + significant digits."""
+    row at c * 2 + (the cell ends a line); and the mask of the kept bytes,
+    bit i for byte i of a little-endian uint32, at (k * 2 + negative) * 18
+    + significant digits."""
     xs = np.arange(_X_MIN, _X_MAX + 1)
     texts = [b""] + [b"" if -4 <= x < 17 else b"e%+03d" % x for x in xs.tolist()]
     n = len(texts)
@@ -151,8 +153,8 @@ def _templates() -> tuple[np.ndarray, ...]:
     kind = np.array([kinds.setdefault(r.tobytes(), len(kinds)) for r in need])
     need = np.repeat(np.frombuffer(b"".join(kinds), dtype=np.uint8).reshape(-1, 32), 2, axis=0)
     need[0::2, 0] = _NEVER  # a positive cell has no sign
-    masks = need[:, None, :] <= np.arange(18)[:, None]
-    return words, kind, suffix.reshape(2 * n, 8).view("<u8").ravel(), masks.reshape(-1, 32)
+    masks = np.packbits(need[:, None, :] <= np.arange(18)[:, None], axis=-1, bitorder="little")
+    return words, kind, suffix.reshape(2 * n, 8).view("<u8").ravel(), masks.view("<u4").ravel()
 
 
 def _g17_digits(a: np.ndarray):
@@ -162,17 +164,28 @@ def _g17_digits(a: np.ndarray):
     x, hi, hi_hi, hi_lo, lo, threshold = _powers()
     m, e = np.frexp(a)
     e -= _E_MIN
-    row = 2 * e + (m >= np.take(threshold, e))
+    row = 2 * e
+    row += m >= np.take(threshold, e)
+    del e
     x, hi, hi_hi, hi_lo, lo = (np.take(t, row) for t in (x, hi, hi_hi, hi_lo, lo))
+    del row
     # a * 10**(16 - x) = m * (hi + lo) = p + err exactly, to 2**-106 relative
     p = m * hi
-    t = m * _SPLIT
-    m_hi = t - (t - m)
-    m_lo = m - m_hi
-    err = ((m_hi * hi_hi - p) + m_hi * hi_lo + m_lo * hi_hi) + m_lo * hi_lo + m * lo
+    m_hi = m * _SPLIT
+    m_lo = m_hi - m
+    m_hi -= m_lo
+    np.subtract(m, m_hi, out=m_lo)
+    err = m_hi * hi_hi
+    err -= p
+    for u, w in ((m_hi, hi_lo), (m_lo, hi_hi), (m_lo, hi_lo), (m, lo)):
+        err += np.multiply(u, w, out=hi)  # hi is spent: its array holds each product
+    del m, m_hi, m_lo, hi, hi_hi, hi_lo, lo
     whole = np.floor(err)
-    d = p.astype(np.int64) + whole.astype(np.int64)  # p > 2**53 is an integer
-    frac = err - whole
+    d = p.astype(np.int64)  # p > 2**53 is an integer
+    del p
+    d += whole.astype(np.int64)
+    frac = np.subtract(err, whole, out=err)
+    del err, whole
     over = np.flatnonzero(d >= 10**17)  # m just under the threshold: one digit too many
     if over.size:
         tens = d[over] // 10
@@ -187,48 +200,73 @@ def _g17_digits(a: np.ndarray):
     return d, x, undecided
 
 
-def g17_rows(table: np.ndarray) -> bytes:
+# bytes of rows compacted by one np.compress, whose index of the kept
+# bytes takes 8 bytes per byte
+_PIECE_BYTES = 1 << 16
+
+
+def g17_rows(table: np.ndarray) -> Iterator[bytes]:
     """The rows of a 2-D float table as ``%.17g`` cells, joined by commas
     and ended by a newline: the bytes of ``(",".join(["%.17g"] * cols) +
-    "\\n") % row`` for every row."""
+    "\\n") % row`` for every row, as pieces of at most 64 KiB.  Each
+    temporary of the whole table is released after its last use."""
     rows, cols = table.shape
     v = np.ascontiguousarray(table, dtype=float).ravel()
     a = np.abs(v)
     bad = ~np.isfinite(a)
     a[bad] = 1.0  # keeps the arithmetic of the cells left to % finite
     d, x, undecided = _g17_digits(a)
-    high = d // 10**8
-    low = d - high * 10**8  # digits 9-16
+    left = np.flatnonzero(bad | undecided).tolist()
+    del bad, undecided
+    cls = np.where(a == 0, 0, x - (_X_MIN - 1))
+    del a
+    quads, zeros = _quads()
+    words, kind, suffix, masks = _templates()
+    row = np.empty((len(v), 4), dtype="<u8")
+    lead = (x >= -4) & (x < 0)
+    mid = np.flatnonzero((x > 0) & (x < 17) & (cls != 0))  # the point among the digits
+    del x
+    high = d // 10**8  # digits 0-8
+    low = np.subtract(d, high * 10**8, out=d)  # digits 9-16
     d0 = high // 10**8
     high -= d0 * 10**8  # digits 1-8
-    quads, zeros = _quads()
-    row = np.empty((len(v), 4), dtype="<u8")
+    d0 += ord("0")
+    digit0 = d0.view(np.uint64)
+    row[:, 0] = np.where(lead, digit0 << 48 | _LEAD_HEAD, digit0 << 8 | _HEAD)
+    del lead, d0, digit0
     trailing = []
     for word, eight in ((1, high), (2, low)):
         first = eight // 10**4
-        last = eight - first * 10**4
-        row[:, word] = np.take(quads, first) | np.take(quads, last) << 32
-        trailing.append(np.where(last != 0, np.take(zeros, last), 4 + np.take(zeros, first)))
-    nsig = 17 - np.where(low != 0, trailing[1], 8 + trailing[0])
-    cls = np.where(a == 0, 0, x - (_X_MIN - 1))
-    words, kind, suffix, masks = _templates()
+        eight -= first * 10**4  # the last four digits
+        row[:, word] = np.take(quads, first) | np.take(quads, eight) << 32
+        # zeros[0] is 4, so a group of eight zero digits has 8 trailing zeros
+        trailing.append(np.take(zeros, eight))
+        trailing[-1] += (eight == 0) * np.take(zeros, first)
+    del high, low, first
+    # where digits 9-16 are all zero, the trailing zeros of 1-8 count too
+    nsig = 17 - trailing[1] - (trailing[1] == 8) * trailing[0]
+    del trailing
     end = 2 * cls
     end.reshape(rows, cols)[:, -1] += 1
     row[:, 3] = np.take(suffix, end)
-    digit0 = (d0 + ord("0")).astype(np.uint64)
-    lead = (x >= -4) & (x < 0)
-    row[:, 0] = np.where(lead, digit0 << 48 | _LEAD_HEAD, digit0 << 8 | _HEAD)
-    mid = np.flatnonzero((x > 0) & (x < 17) & (a != 0))  # the point among the digits
-    if mid.size:
-        quarters = row.view("<u4")
-        quarters[mid] = np.take_along_axis(quarters[mid], np.take(words, cls[mid], axis=0), axis=1)
-    keep = np.take(masks, (2 * np.take(kind, cls) + np.signbit(v)) * 18 + nsig, axis=0)
+    del end
+    cells = _PIECE_BYTES // 32  # per piece
+    quarters = row.view("<u4")
+    for start in range(0, mid.size, cells):
+        part = mid[start : start + cells]
+        quarters[part] = np.take_along_axis(quarters[part], np.take(words, cls[part], axis=0), axis=1)
+    del mid
+    keep = np.take(masks, (2 * np.take(kind, cls) + np.signbit(v)) * 18 + nsig)
+    del cls, nsig
     text = row.view(np.uint8)
-    for i in np.flatnonzero(bad | undecided).tolist():
+    for i in left:
         cell = b"%.17g" % v[i] + (b"\n" if i % cols == cols - 1 else b",")  # at most 25 bytes
         text[i, : len(cell)] = np.frombuffer(cell, dtype=np.uint8)
-        keep[i] = np.arange(32) < len(cell)
-    return np.compress(keep.ravel(), text).tobytes()
+        keep[i] = (1 << len(cell)) - 1
+    for start in range(0, len(v), cells):
+        piece = slice(start, start + cells)
+        bits = np.unpackbits(keep[piece].view(np.uint8), bitorder="little").view(bool)
+        yield np.compress(bits, text[piece]).tobytes()
 
 
 _F2_MAX = 1e4  # %.2f cells at or above it go to %; SVG coordinates stay below 1e3
@@ -310,7 +348,10 @@ def f2_points(x: np.ndarray, ys: Iterable[np.ndarray]) -> Iterator[Iterator[byte
                 x_fits = _f2_cells(x[rows], b",", cells[:n, :3], keep[:n, :12])
                 formatted = rows
             if x_fits and _f2_cells(y[rows], b" ", cells[:n, 3:], keep[:n, 12:]):
-                piece = np.compress(keep[:n].ravel(), text[:n]).tobytes()
+                step = _PIECE_BYTES // 24
+                piece = b"".join(
+                    np.compress(keep[k:n][:step].ravel(), text[k:n][:step]).tobytes() for k in range(0, n, step)
+                )
             else:  # a cell too long for its row: the chunk as % gives it
                 points = zip(x[rows].tolist(), y[rows].tolist())
                 piece = "".join(map("%.2f,%.2f ".__mod__, points)).encode()

@@ -212,7 +212,7 @@ TRAJECTORY_HEADER = (
 )
 PROFILE_HEADER = "delta,ionization"
 
-# cells per formatted block: formatting takes up to about 360 bytes a cell,
+# cells per formatted block: formatting takes up to about 110 bytes a cell,
 # far more than the numbers, so neither the table nor its text is held whole
 _CSV_CELLS = 1 << 14
 
@@ -222,12 +222,13 @@ def _write_rows(path, header: str, n_rows: int, block) -> None:
     digits per cell so that parsing the text recovers the exact double.
     ``block(rows)`` returns the table's rows in the slice ``rows``; each
     block is formatted as a whole, into the bytes ``"%.17g" % value``
-    gives for every cell, and written before the next is formed."""
+    gives for every cell, and written piece by piece before the next is
+    formed."""
     step = max(1, _CSV_CELLS // (header.count(",") + 1))
     with open(path, "wb") as f:
         f.write(header.encode() + b"\n")
         for start in range(0, n_rows, step):
-            f.write(g17_rows(block(slice(start, start + step))))
+            f.writelines(g17_rows(block(slice(start, start + step))))
 
 
 def _columns(*columns: np.ndarray):
@@ -317,8 +318,12 @@ def _svg_line_plot(path, x: np.ndarray, series: list[tuple[str, np.ndarray]], xl
     plot_w = _WIDTH - _ML - _MR
     plot_h = _HEIGHT - _MT - _MB
 
+    # an x span that overflows is taken at half scale, on both sides of the division
+    scale = 0.5 if xmax - xmin == np.inf else 1.0
+    x0, width = scale * xmin, scale * xmax - scale * xmin
+
     def px(v: float) -> float:
-        return _ML + (v - xmin) / (xmax - xmin) * plot_w
+        return _ML + (scale * v - x0) / width * plot_w
 
     def py(v: float) -> float:
         return _MT + (ymax - v) / (ymax - ymin) * plot_h
@@ -394,7 +399,8 @@ def render_svg(data: Trajectory | FanoProfile | DegeneracyReport, path) -> None:
     the degenerate and shifted ionization versus time.
     """
     if isinstance(data, Trajectory):
-        pops = np.abs(data.amps) ** 2
+        pops = np.abs(data.amps)
+        pops **= 2
         series = [(f"pop_{b}", pop) for b, pop in zip(data.basis.labels, pops.T) if pop.max() > 1e-12]
         series.append(("ionization", data.ionization))
         _svg_line_plot(path, data.times, series, "t / T")
@@ -425,6 +431,8 @@ def _resolve_delta_grid(cfg: RunConfig) -> np.ndarray:
     hi = cfg.delta_max if cfg.delta_max is not None else _DELTA_WINDOW[1]
     if not hi > lo:
         raise ConfigError(f"delta_max must exceed delta_min, got [{lo}, {hi}]")
+    if hi - lo == np.inf:
+        raise ConfigError(f"delta_max - delta_min must be finite, got [{lo}, {hi}]")
     return np.linspace(lo, hi, steps)
 
 

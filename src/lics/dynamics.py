@@ -75,6 +75,10 @@ _RESIDUAL_TOL = 1e-6
 # largest n_samples of a TimeGrid and delta_steps of a scan; 10**6 float64
 # samples are 8 MB, and every grid point costs a propagation
 _MAX_GRID_POINTS = 10**6
+# amplitude vectors per chunk of the propagation kernels and of the row
+# maps: no vector's bits depend on the chunk, and a chunk's temporaries take
+# a few hundred KB, so a stage holds little more than its result
+_CHUNK = 1 << 11
 # detunings per stacked LAPACK call in a nondegenerate4 scan, so that the
 # 201 detunings of a nondeg run are one call: a block's temporaries take
 # about 1.4 KB per detuning (360 KB for a whole block), and each block
@@ -124,19 +128,28 @@ class TimeGrid:
         return np.linspace(self.t_start, self.t_end, self.n_samples)
 
 
+def _map_rows(matrix: np.ndarray, amps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = matrix @ amps[i] for every row i, one stacked product per
+    chunk of rows; each row gets the bits of its own product (``amps @
+    matrix.T`` does not).  ``out`` may be ``amps``."""
+    for start in range(0, len(amps), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        out[rows] = (matrix @ amps[rows, :, None])[..., 0]
+    return out
+
+
 @dataclass
 class Trajectory:
     """Propagation result: (n_samples, dim) complex amplitudes ``amps`` in
     ``basis`` and ``ionization[i]`` = 1 - |amps[i]|^2, clamped of tiny
     negative roundoff.  Four-state models report ``amps`` in the bright/dark
-    basis and the (g1, g2, e1, e2) evolution as ``amps_original``.
+    basis; ``amps_original`` derives the (g1, g2, e1, e2) amplitudes on access.
     """
 
     grid: TimeGrid
     basis: Basis
     amps: np.ndarray
     ionization: np.ndarray
-    amps_original: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         shape = (self.grid.n_samples, self.basis.dim)
@@ -148,6 +161,18 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return self.grid.times()
+
+    @property
+    def amps_original(self) -> np.ndarray | None:
+        """The amplitudes in the (g1, g2, e1, e2) basis, mapped from
+        bright/dark ``amps`` row by row as ``from_bright_dark`` maps one
+        state; ``amps`` itself if it is in that basis; None for two-state
+        bases.  Computed on each access, never stored."""
+        if self.basis is Basis.ORIGINAL4:
+            return self.amps
+        if self.basis is Basis.BRIGHTDARK4:
+            return _map_rows(_BRIGHT_DARK_MAP.T, self.amps, np.empty_like(self.amps))
+        return None
 
 
 @dataclass(frozen=True)
@@ -166,10 +191,15 @@ class Eigensystem:
 
 
 def _ionization_values(amps: np.ndarray) -> np.ndarray:
-    """1 - |amps|^2 over the last axis; values in [-1e-9, 0) are
-    roundoff, not physics, and are reported as 0."""
-    ion = 1.0 - (np.abs(amps) ** 2).sum(axis=-1)
-    return np.where((ion < 0.0) & (ion >= -1e-9), 0.0, ion)
+    """1 - |amps|^2 over the last axis, by chunks of ``_CHUNK`` vectors;
+    values in [-1e-9, 0) are roundoff, not physics, and are reported as 0."""
+    vectors = amps.reshape(-1, amps.shape[-1])
+    ion = np.empty(len(vectors))
+    for start in range(0, len(vectors), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        ion[rows] = 1.0 - (np.abs(vectors[rows]) ** 2).sum(axis=-1)
+    ion[(ion < 0.0) & (ion >= -1e-9)] = 0.0
+    return ion.reshape(amps.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +297,24 @@ def _expm_pade(a: CMatrix) -> CMatrix:
 
 def _eigen_amps(es: Eigensystem, amps0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """exp(-i h t) amps0 for every matrix h of a stacked eigensystem and
-    every t in ``times``, shape (k, len(times), n); the rows of the
-    ``degenerate`` matrices are NaN.
+    every t in ``times``, shape (k, len(times), n), filled by chunks of
+    about ``_CHUNK`` vectors; the rows of the ``degenerate`` matrices are
+    NaN.
 
     Each amplitude vector is its own product of V with the phased
     coefficients V^-1 amps0, so its bits do not depend on how many
     matrices or times are computed with it.
     """
+    k, n = es.values.shape
+    amps = np.empty((k, times.size, n), dtype=np.complex128)
+    step = max(1, _CHUNK // k)
     # overflow and NaN are left to the caller's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
-        phases = np.exp(-1j * times[:, None] * es.values[:, None, :])
         coeffs = es.inverse @ amps0
-        amps = (es.vectors[:, None] @ (phases * coeffs[:, None, :])[..., None])[..., 0]
+        for start in range(0, times.size, step):
+            part = slice(start, start + step)
+            phases = np.exp(-1j * times[part, None] * es.values[:, None, :])
+            amps[:, part] = (es.vectors[:, None] @ (phases * coeffs[:, None, :])[..., None])[..., 0]
     amps[es.degenerate] = np.nan
     return amps
 
@@ -295,7 +331,8 @@ def propagate_expm(h: CMatrix, s0: State, grid: TimeGrid) -> Trajectory:
     h = np.asarray(h, dtype=np.complex128)
     if h.shape != (s0.basis.dim, s0.basis.dim):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match basis {s0.basis.value}")
-    rel_times = grid.times() - grid.t_start
+    rel_times = grid.times()
+    rel_times -= grid.t_start
 
     es = eigensystem(h[None])
     if not es.degenerate[0]:
@@ -330,10 +367,10 @@ def _mean_and_root(a, b, c, d):
     return m, h, s
 
 
-def _block_amps(block: CMatrix, deltas: np.ndarray, v0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-i H t) v0 for H = ``block`` with each delta in ``deltas``
-    added to its lower diagonal entry, at every t in ``times``: shape
-    (len(deltas), len(times), 2).
+def _block_amps(block: CMatrix, deltas: np.ndarray, v0: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
+    """Write exp(-i H t) v0 for H = ``block`` with each delta in ``deltas``
+    added to its lower diagonal entry, at every t in ``times``, into
+    ``out``, shape (len(deltas), len(times), 2).
 
     The closed form exp(-iHt) = e^{-imt} [cos(st) I - i (sin(st)/s)(H - mI)]
     (Moler and Van Loan, SIAM Rev. 45 (2003), sec. 2) needs no
@@ -370,15 +407,15 @@ def _block_amps(block: CMatrix, deltas: np.ndarray, v0: np.ndarray, times: np.nd
             minus = np.exp(-1j * ((m[k] - s[k]) * times[j]))
             cos_term[big] = (plus + minus) / 2
             sin_term[big] = (minus - plus) / (2j * s[k])
-        amps = cos_term[..., None] * v0
-        amps += sin_term[..., None] * w[:, None, :]
-    return amps
+        np.multiply(cos_term[..., None], v0, out=out)
+        out += sin_term[..., None] * w[:, None, :]
 
 
 def _block_model_amps(p: Params, model: str, s0: State, deltas: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Amplitudes of a ``_BLOCK_MODELS`` model from ``s0`` at every
     detuning in ``deltas`` and every time in ``times``: shape (len(deltas),
-    len(times), dim), for ``four_state`` in the bright/dark basis.
+    len(times), dim), for ``four_state`` in the bright/dark basis, filled
+    by chunks of about ``_CHUNK`` vectors.
 
     The Hamiltonian is built once, at delta = -0.0; every builder adds
     the detuning to the excited diagonal only, which the pi/4 rotation
@@ -388,20 +425,25 @@ def _block_model_amps(p: Params, model: str, s0: State, deltas: np.ndarray, time
     phase; raises ValueError unless every other entry of the rotated
     matrix, the dark pair's loss and coupling included, is at roundoff.
     """
-    h0 = build_hamiltonian(replace(p, delta=-0.0), model)
-    if model != "four_state":
-        return _block_amps(h0, deltas, s0.amps, times)
-    bright, dark, residual = block_diagonalize(h0)
-    dark_diag = np.diag(dark).real
-    leak = max(residual, float(np.abs(dark - np.diag(dark_diag)).max()))
-    if not leak <= _BLOCK_TOL * np.abs(h0).max():
-        raise ValueError(f"four_state Hamiltonian does not split into bright and dark blocks: residual {leak:.3g}")
-    v0 = _BRIGHT_DARK_MAP @ s0.amps
-    amps = np.empty((deltas.size, times.size, 4), dtype=np.complex128)
-    amps[..., :2] = _block_amps(bright, deltas, v0[:2], times)
-    with np.errstate(over="ignore", invalid="ignore"):
-        amps[..., 2] = np.exp(-1j * (dark_diag[0] * times)) * v0[2]
-        amps[..., 3] = np.exp(-1j * ((dark_diag[1] + deltas)[:, None] * times)) * v0[3]
+    bright = h0 = build_hamiltonian(replace(p, delta=-0.0), model)
+    v0 = s0.amps
+    if model == "four_state":
+        bright, dark, residual = block_diagonalize(h0)
+        dark_diag = np.diag(dark).real
+        leak = max(residual, float(np.abs(dark - np.diag(dark_diag)).max()))
+        if not leak <= _BLOCK_TOL * np.abs(h0).max():
+            raise ValueError(f"four_state Hamiltonian does not split into bright and dark blocks: residual {leak:.3g}")
+        v0 = _BRIGHT_DARK_MAP @ s0.amps
+    amps = np.empty((deltas.size, times.size, v0.size), dtype=np.complex128)
+    step = max(1, _CHUNK // deltas.size)
+    for start in range(0, times.size, step):
+        part = slice(start, start + step)
+        t = times[part]
+        _block_amps(bright, deltas, v0[:2], t, amps[:, part, :2])
+        if v0.size == 4:
+            with np.errstate(over="ignore", invalid="ignore"):
+                amps[:, part, 2] = np.exp(-1j * (dark_diag[0] * t)) * v0[2]
+                amps[:, part, 3] = np.exp(-1j * ((dark_diag[1] + deltas)[:, None] * t)) * v0[3]
     return amps
 
 
@@ -432,8 +474,8 @@ def _scan_ionization(p: Params, model: str, init, deltas: np.ndarray, t_obs: flo
     """Ionization at ``t_obs`` for every detuning in ``deltas``, bit for
     bit as ``evolve`` computes it.
 
-    The block models run ``_block_model_amps`` over all detunings at
-    once, as ``evolve`` does for one.  ``nondegenerate4`` is propagated
+    The block models run ``_block_model_amps`` over ``_CHUNK`` detunings
+    at a time, as ``evolve`` does for one.  ``nondegenerate4`` is propagated
     ``_SCAN_BLOCK`` detunings at a time, each block through one stacked
     ``eigensystem`` of ``_detuning_stack`` and the kernel that
     ``propagate_expm`` runs.  A point whose result is not finite or
@@ -445,12 +487,13 @@ def _scan_ionization(p: Params, model: str, init, deltas: np.ndarray, t_obs: flo
     s0 = _initial_state(model, init)
     grid = TimeGrid(0.0, t_obs, 2)
     times = grid.times()[1:]
+    values = np.empty(deltas.size)
     if model in _BLOCK_MODELS:
-        amps = _block_model_amps(p, model, s0, deltas, times)
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = _ionization_values(amps[:, 0])
+        for start in range(0, deltas.size, _CHUNK):
+            amps = _block_model_amps(p, model, s0, deltas[start : start + _CHUNK], times)
+            with np.errstate(over="ignore", invalid="ignore"):
+                values[start : start + _CHUNK] = _ionization_values(amps[:, 0])
     else:
-        values = np.empty(deltas.size)
         h0 = build_hamiltonian(replace(p, delta=-0.0), model)
         for start in range(0, deltas.size, _SCAN_BLOCK):
             block = deltas[start : start + _SCAN_BLOCK]
@@ -810,26 +853,25 @@ def evolve(p: Params, model: str, init, grid: TimeGrid) -> Trajectory:
     amplitude is not finite, or if the ionization falls more than 1e-9
     below its initial value: these Hamiltonians can only lose norm.
 
-    Four-state trajectories are reported in the bright/dark basis, with
-    the original-basis amplitudes attached as ``amps_original``; either
-    one is mapped from the other by one stacked product over all samples.
+    Four-state trajectories are reported in the bright/dark basis only;
+    ``nondegenerate4``'s original-basis amplitudes are mapped onto it in
+    place, row by row.
     """
     h = build_hamiltonian(p, model)
     s0 = _initial_state(model, init)
     if model in _BLOCK_MODELS:
         if not np.all(np.isfinite(h)):
             raise ValueError("matrix entries must be finite")
-        amps = _block_model_amps(p, model, s0, np.array([float(p.delta)]), grid.times() - grid.t_start)[0]
+        times = grid.times()
+        times -= grid.t_start
+        amps = _block_model_amps(p, model, s0, np.array([float(p.delta)]), times)[0]
         basis = Basis.BRIGHTDARK4 if model == "four_state" else s0.basis
         traj = Trajectory(grid, basis, amps, _ionization_values(amps))
     else:
         traj = propagate_expm(h, s0, grid)
     if not _norm_kept(traj.ionization, s0).all():
         raise ValueError(f"the norm grew during propagation: ionization fell to {traj.ionization.min():.3g}")
-    # stacked products are bit-identical to a per-row map; amps @ M.T is not
-    if model == "four_state":
-        traj.amps_original = (_BRIGHT_DARK_MAP.T @ traj.amps[:, :, None])[..., 0]
-    elif model == "nondegenerate4":
-        bright_dark = (_BRIGHT_DARK_MAP @ traj.amps[:, :, None])[..., 0]
-        return Trajectory(grid, Basis.BRIGHTDARK4, bright_dark, traj.ionization, amps_original=traj.amps)
+    if model == "nondegenerate4":
+        bright_dark = _map_rows(_BRIGHT_DARK_MAP, traj.amps, traj.amps)
+        return Trajectory(grid, Basis.BRIGHTDARK4, bright_dark, traj.ionization)
     return traj

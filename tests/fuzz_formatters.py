@@ -52,7 +52,7 @@ def _f2_chunk(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _check_g17(values: np.ndarray) -> tuple[list[str], int]:
-    got = _text.g17_rows(values[:, None]).decode().splitlines()
+    got = b"".join(_text.g17_rows(values[:, None])).decode().splitlines()
     bad = [f"%.17g: {v!r} gave {g} for {'%.17g' % v}" for v, g in zip(values.tolist(), got) if g != "%.17g" % v]
     a = np.abs(values)
     finite = np.isfinite(a)

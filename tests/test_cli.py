@@ -618,6 +618,16 @@ class TestRejections:
             call(tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_delta_span(self, tmp_path, capsys):
+        """hi - lo = inf would make np.linspace warn and return NaN."""
+        config = tmp_path / "run.conf"
+        config.write_text(_cfg_text("fano", delta_min=-1e308, delta_max=1e308, out=tmp_path / "x.csv", plot="true"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([str(config)]) == 1
+        assert "error: delta_max - delta_min must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
 
 class TestDegenerateAxes:
     """Plots whose axis spans a few ulps, underflows or overflows."""
@@ -640,6 +650,17 @@ class TestDegenerateAxes:
     def test_ticks_of_an_ordinary_axis(self):
         assert cli._nice_ticks(0.0, 6.0) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         assert cli._nice_ticks(-10.0, 10.0) == [-10.0, -5.0, 0.0, 5.0, 10.0]
+
+    def test_an_overflowing_x_span(self, tmp_path):
+        """xmax - xmin = inf: both ends still land on the plot's edges."""
+        path = tmp_path / "wide.svg"
+        profile = FanoProfile(np.array([-1e308, 1e308]), np.array([0.1, 0.9]), 6.0, "four_state", "g1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            render_svg(profile, path)
+        assert "nan" not in path.read_text()
+        polyline = ET.parse(path).getroot().find("{http://www.w3.org/2000/svg}polyline")
+        assert [point.split(",")[0] for point in polyline.get("points").split()] == ["64.00", "592.00"]
 
     def test_one_far_detuned_point(self, tmp_path):
         """1e20 + 1.0 is 1e20: the x axis of a single point must still widen."""

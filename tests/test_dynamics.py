@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -41,6 +42,7 @@ from lics.dynamics import (
     _RK_DEGREE,
     _RK_E3,
     _RK_E5,
+    _CHUNK,
     _SAFETY,
     _expm_pade,
     _fold_tableau,
@@ -862,14 +864,39 @@ class TestTrajectory:
         assert counts[0] == counts[1] <= 2
 
     def test_states_are_built_from_the_arrays(self, strong_params):
-        traj = evolve(strong_params, "four_state", "g1", TimeGrid(0.0, 1.0, 201))
-        assert traj.basis is Basis.BRIGHTDARK4
-        # the stacked map is bit-identical to mapping each sample on its own
-        np.testing.assert_array_equal(
-            traj.amps_original, [from_bright_dark(State(Basis.BRIGHTDARK4, a)).amps for a in traj.amps]
-        )
+        # more samples than one block of the row map holds
+        grid = TimeGrid(0.0, 1.0, 2 * _CHUNK + 1)
+        split = dataclasses.replace(strong_params, shift_g=0.2, shift_e=0.1)
+        for traj in (evolve(strong_params, "four_state", "g1", grid), evolve(split, "nondegenerate4", "g1", grid)):
+            assert traj.basis is Basis.BRIGHTDARK4
+            # the stacked map is bit-identical to mapping each sample on its own
+            np.testing.assert_array_equal(
+                traj.amps_original, [from_bright_dark(State(Basis.BRIGHTDARK4, a)).amps for a in traj.amps]
+            )
+            # derived on each access, never stored
+            assert traj.amps_original is not traj.amps_original
+            with pytest.raises(AttributeError):
+                traj.amps_original = traj.amps
+        original = propagate_expm(effective_hamiltonian(strong_params), State(Basis.ORIGINAL4, [1, 0, 0, 0]), grid)
+        assert original.amps_original is original.amps
         two = evolve(strong_params, "bright2", "bright", TimeGrid(0.0, 1.0, 5))
         assert two.amps_original is None
+
+    def test_peak_memory_is_near_the_result(self, strong_params):
+        """The kernels fill the result by blocks of samples, and a four-state
+        trajectory stores no second (n, 4) array."""
+        p = dataclasses.replace(strong_params, delta=trapping_delta(strong_params))
+        grid = TimeGrid(0.0, 6.0, 20001)
+        evolve(p, "four_state", "g1", TimeGrid(0.0, 6.0, 11))
+        tracemalloc.start()
+        try:
+            traj = evolve(p, "four_state", "g1", grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * (traj.amps.nbytes + traj.ionization.nbytes)
+        arrays = [v for v in vars(traj).values() if isinstance(v, np.ndarray)]
+        assert sorted(a.shape for a in arrays) == [(20001,), (20001, 4)]
 
     def test_rejects_inconsistent_or_non_finite_amplitudes(self):
         grid = TimeGrid(0.0, 1.0, 3)

@@ -1,5 +1,7 @@
 """The array formatters of lics._text against Python's ``%``, byte for byte."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -54,18 +56,34 @@ class TestG17Rows:
         values = _g17_values()
         values = values[: len(values) // 14 * 14]
         table = values.reshape(-1, 14)
-        assert g17_rows(table) == _per_cell_rows(table)
+        assert b"".join(g17_rows(table)) == _per_cell_rows(table)
 
     def test_exact_ties_round_half_to_even(self):
         # 1.00000762939453125 and 1.00002288818359375 have 18 significant digits
         table = np.array([[1 + 2.0**-17, 1 + 3 * 2.0**-17]])
-        assert g17_rows(table) == b"1.0000076293945312,1.0000228881835938\n"
+        assert b"".join(g17_rows(table)) == b"1.0000076293945312,1.0000228881835938\n"
 
     @pytest.mark.parametrize("cols", [1, 2, 3, 14])
     def test_separators_and_specials(self, cols):
         special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, 1e-5, 1e-4, 0.5, 1e16, 1e17, 12.5, -7.0, 1e22]
         table = np.resize(np.array(special), (len(special), cols))
-        assert g17_rows(table) == _per_cell_rows(table)
+        assert b"".join(g17_rows(table)) == _per_cell_rows(table)
+
+    def test_peak_memory_per_cell(self):
+        """A block of the trajectory CSV, 1170 rows of 14 cells, of every
+        layout: below 1e-4, with a point among the digits, and in exponent
+        form.  Its rows are compacted in pieces of at most 64 KiB."""
+        rng = np.random.default_rng(1615)
+        table = rng.standard_normal((1170, 14)) * 10.0 ** rng.integers(-8, 20, size=(1170, 14))
+        assert b"".join(g17_rows(table)) == _per_cell_rows(table)
+        tracemalloc.start()
+        try:
+            sizes = [len(piece) for piece in g17_rows(table)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 180 * table.size
+        assert max(sizes) <= 1 << 16
 
 
 def _f2_values() -> np.ndarray:
