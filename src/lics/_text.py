@@ -19,7 +19,7 @@ use, not at import.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -328,12 +328,19 @@ def _f2_cells(values: np.ndarray, sep: bytes, cells: np.ndarray, keep: np.ndarra
     return True
 
 
-def f2_points(x: np.ndarray, ys: Iterable[np.ndarray]) -> Iterator[Iterator[bytes]]:
-    """For each y, the bytes of ``" ".join(map("%.2f,%.2f".__mod__, zip(x,
-    y)))`` as an iterator of pieces, one per ``_F2_CHUNK`` points, so that
-    a writer never holds a whole polyline.  The x cells of a chunk are
-    formatted only when the chunk changes: once for all the series of a
-    plot of up to ``_F2_CHUNK`` points."""
+def f2_points(
+    x: np.ndarray,
+    ys: Iterable[np.ndarray],
+    fx: Callable[[np.ndarray], np.ndarray],
+    fy: Callable[[np.ndarray], np.ndarray],
+) -> Iterator[Iterator[bytes]]:
+    """For each y, the bytes of ``" ".join(map("%.2f,%.2f".__mod__,
+    zip(fx(x), fy(y))))`` as an iterator of pieces, one per ``_F2_CHUNK``
+    points, so that a writer never holds a whole polyline.  ``fx`` and
+    ``fy`` act elementwise and are applied to one chunk at a time, so no
+    whole series of their values is held either.  The x cells of a chunk
+    are formatted only when the chunk changes: once for all the series of
+    a plot of up to ``_F2_CHUNK`` points."""
     cells = np.empty((min(len(x), _F2_CHUNK), 6), dtype="<u4")
     keep = np.empty((len(cells), 24), dtype=bool)
     text = cells.view(np.uint8)
@@ -345,18 +352,19 @@ def f2_points(x: np.ndarray, ys: Iterable[np.ndarray]) -> Iterator[Iterator[byte
             rows = slice(start, start + _F2_CHUNK)
             n = len(x[rows])
             if formatted != rows:
-                x_fits = _f2_cells(x[rows], b",", cells[:n, :3], keep[:n, :12])
+                x_fits = _f2_cells(fx(x[rows]), b",", cells[:n, :3], keep[:n, :12])
                 formatted = rows
-            if x_fits and _f2_cells(y[rows], b" ", cells[:n, 3:], keep[:n, 12:]):
+            if x_fits and _f2_cells(fy(y[rows]), b" ", cells[:n, 3:], keep[:n, 12:]):
                 step = _PIECE_BYTES // 24
                 piece = b"".join(
                     np.compress(keep[k:n][:step].ravel(), text[k:n][:step]).tobytes() for k in range(0, n, step)
                 )
             else:  # a cell too long for its row: the chunk as % gives it
-                points = zip(x[rows].tolist(), y[rows].tolist())
+                points = zip(fx(x[rows]).tolist(), fy(y[rows]).tolist())
                 piece = "".join(map("%.2f,%.2f ".__mod__, points)).encode()
             # every point ends in a space, which the last one drops
             yield piece if start + n < len(x) else piece[:-1]
 
-    for y in ys:
-        yield pieces(y)
+    # an exhausted iterator of pieces drops its y, so the next is formed
+    # after the last is released
+    yield from map(pieces, ys)

@@ -21,9 +21,14 @@ command it is an error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -42,8 +47,7 @@ from .dynamics import (
     MODELS,
     TimeGrid,
     Trajectory,
-    build_hamiltonian,
-    eigensystem,
+    _model_eigenvalues,
     evolve,
 )
 from ._text import f2_points, g17_rows
@@ -217,6 +221,27 @@ PROFILE_HEADER = "delta,ionization"
 _CSV_CELLS = 1 << 14
 
 
+@contextmanager
+def _replacing(path) -> Iterator[BinaryIO]:
+    """A binary file to write instead of ``path``: it has a hidden
+    temporary name in the same directory and replaces ``path`` whole once
+    it is complete.  On any exception, an interrupt too, the temporary is
+    removed and ``path`` is left as it was."""
+    path = Path(path)
+    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    try:
+        f = open(part, "wb")
+    except OSError as exc:  # an error names the output, not its temporary
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with f:
+            yield f
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+
+
 def _write_rows(path, header: str, n_rows: int, block) -> None:
     """Write ``header`` and ``n_rows`` rows of a float table, 17 significant
     digits per cell so that parsing the text recovers the exact double.
@@ -225,7 +250,7 @@ def _write_rows(path, header: str, n_rows: int, block) -> None:
     gives for every cell, and written piece by piece before the next is
     formed."""
     step = max(1, _CSV_CELLS // (header.count(",") + 1))
-    with open(path, "wb") as f:
+    with _replacing(path) as f:
         f.write(header.encode() + b"\n")
         for start in range(0, n_rows, step):
             f.writelines(g17_rows(block(slice(start, start + step))))
@@ -250,7 +275,6 @@ def write_csv(data: Trajectory | FanoProfile | DegeneracyReport, path) -> None:
     (2-state models fill the dark columns with zeros), the populations and
     the ionization; a report row holds the time and both ionizations."""
     if isinstance(data, Trajectory):
-        times = data.times
 
         def block(rows: slice) -> np.ndarray:
             amps = np.ascontiguousarray(data.amps[rows])
@@ -258,9 +282,9 @@ def write_csv(data: Trajectory | FanoProfile | DegeneracyReport, path) -> None:
                 amps = np.hstack([amps, np.zeros_like(amps)])
             # hypot (Python's abs) and libm's pow keep the digits stable: np.abs and x * x differ in the last bit
             pops = np.float_power(np.hypot(amps.real, amps.imag), 2.0)
-            return np.column_stack([times[rows], amps.view(np.float64), pops, data.ionization[rows]])
+            return np.column_stack([data.grid.times(rows), amps.view(np.float64), pops, data.ionization[rows]])
 
-        _write_rows(path, TRAJECTORY_HEADER, len(times), block)
+        _write_rows(path, TRAJECTORY_HEADER, data.grid.n_samples, block)
     elif isinstance(data, FanoProfile):
         if data.deltas.size == 0:
             raise ValueError("cannot write an empty profile")
@@ -303,14 +327,27 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
-def _svg_line_plot(path, x: np.ndarray, series: list[tuple[str, np.ndarray]], xlabel: str) -> None:
+# a plotted series: its name, a function that forms its values, and their
+# smallest and largest value
+_Series = tuple[str, Callable[[], np.ndarray], float, float]
+
+
+def _held(name: str, y: np.ndarray) -> _Series:
+    """The series of an array that is already held; an empty one gets an
+    empty range and is rejected, as its x is, by ``_svg_line_plot``."""
+    return name, lambda: y, float(np.min(y, initial=np.inf)), float(np.max(y, initial=-np.inf))
+
+
+def _svg_line_plot(path, x: np.ndarray, series: list[_Series], xlabel: str) -> None:
+    """Plot each series against ``x``; its values are formed when its
+    polyline is written, and its pixel coordinates one chunk at a time."""
     if len(x) == 0:
         raise ValueError("cannot plot empty data")
     xmin, xmax = float(np.min(x)), float(np.max(x))
     if xmax == xmin:  # + 1.0 alone is absorbed from 2**53 on
         xmax = max(xmin + 1.0, float(np.nextafter(xmin, np.inf)))
-    ymin = min(0.0, *(float(np.min(y)) for _, y in series))
-    ymax = max(float(np.max(y)) for _, y in series)
+    ymin = min(0.0, *(lo for _, _, lo, _ in series))
+    ymax = max(hi for _, _, _, hi in series)
     if ymax <= ymin:
         ymax = ymin + 1.0
     ymax += 0.05 * (ymax - ymin)
@@ -328,7 +365,7 @@ def _svg_line_plot(path, x: np.ndarray, series: list[tuple[str, np.ndarray]], xl
     def py(v: float) -> float:
         return _MT + (ymax - v) / (ymax - ymin) * plot_h
 
-    with open(path, "wb") as f:
+    with _replacing(path) as f:
 
         def line(text: str) -> None:
             f.write(text.encode() + b"\n")
@@ -366,10 +403,9 @@ def _svg_line_plot(path, x: np.ndarray, series: list[tuple[str, np.ndarray]], xl
         )
 
         # px and py work elementwise on arrays, with the same operations as on a float
-        points = f2_points(
-            px(np.asarray(x, dtype=float)), (py(np.asarray(y, dtype=float)) for _, y in series)
-        )
-        for idx, ((name, _), pieces) in enumerate(zip(series, points)):
+        ys = (np.asarray(values(), dtype=float) for _, values, _, _ in series)
+        points = f2_points(np.asarray(x, dtype=float), ys, px, py)
+        for idx, ((name, *_), pieces) in enumerate(zip(series, points)):
             color = "#444444" if name == "ionization" else _PALETTE[idx % len(_PALETTE)]
             dash = ' stroke-dasharray="6 4"' if name == "ionization" else ""
             # each polyline goes to the file piece by piece, never whole
@@ -399,15 +435,27 @@ def render_svg(data: Trajectory | FanoProfile | DegeneracyReport, path) -> None:
     the degenerate and shifted ionization versus time.
     """
     if isinstance(data, Trajectory):
-        pops = np.abs(data.amps)
-        pops **= 2
-        series = [(f"pop_{b}", pop) for b, pop in zip(data.basis.labels, pops.T) if pop.max() > 1e-12]
-        series.append(("ionization", data.ionization))
+
+        def population(j: int) -> np.ndarray:
+            pop = np.abs(data.amps[:, j])
+            pop **= 2
+            return pop
+
+        # each population column is formed here for its range, and again
+        # when its polyline is written, so at most one is held at a time
+        series: list[_Series] = []
+        for j, label in enumerate(data.basis.labels):
+            pop = population(j)
+            lo, hi = float(pop.min()), float(pop.max())
+            del pop
+            if hi > 1e-12:
+                series.append((f"pop_{label}", partial(population, j), lo, hi))
+        series.append(_held("ionization", data.ionization))
         _svg_line_plot(path, data.times, series, "t / T")
     elif isinstance(data, FanoProfile):
-        _svg_line_plot(path, data.deltas, [("ionization", data.ionization)], "delta (1/T)")
+        _svg_line_plot(path, data.deltas, [_held("ionization", data.ionization)], "delta (1/T)")
     elif isinstance(data, DegeneracyReport):
-        series = [("degenerate", data.ionization_degenerate), ("shifted", _one_splitting(data))]
+        series = [_held("degenerate", data.ionization_degenerate), _held("shifted", _one_splitting(data))]
         _svg_line_plot(path, data.times, series, "t / T")
     else:
         raise TypeError(f"cannot plot {type(data).__name__}")
@@ -452,12 +500,12 @@ def run(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "eigen":
-        es = eigensystem(build_hamiltonian(cfg.params, cfg.model))
+        values = _model_eigenvalues(cfg.params, cfg.model)
         if cfg.out is not None:
-            columns = _columns(np.arange(len(es.values)), es.values.real, es.values.imag)
-            _write_rows(cfg.out, "index,re_lambda,im_lambda", len(es.values), columns)
+            columns = _columns(np.arange(len(values)), values.real, values.imag)
+            _write_rows(cfg.out, "index,re_lambda,im_lambda", len(values), columns)
         # + 0.0 turns a negative zero from rounding into +0.000000
-        shown = ", ".join(f"{v.real:.6f}{round(v.imag, 6) + 0.0:+.6f}i" for v in es.values)
+        shown = ", ".join(f"{v.real:.6f}{round(v.imag, 6) + 0.0:+.6f}i" for v in values)
         print(f"eigenvalues ({cfg.model}): {shown}")
         return 0
 

@@ -124,8 +124,25 @@ class TimeGrid:
         if self.n_samples > _MAX_GRID_POINTS:
             raise ValueError(f"n_samples must be at most {_MAX_GRID_POINTS}, got {self.n_samples}")
 
-    def times(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.n_samples)
+    def times(self, rows: slice = slice(None)) -> np.ndarray:
+        """The sample times in ``rows``, bit for bit ``np.linspace(t_start,
+        t_end, n_samples)[rows]`` without forming the whole grid: k * step
+        + t_start by linspace's own operations, k / (n - 1) * span where
+        the step underflows to 0, and t_end for the last sample."""
+        n = self.n_samples
+        k = range(n)[rows]
+        t = np.arange(k.start, k.stop, k.step, dtype=float)
+        span = self.t_end - self.t_start
+        step = span / (n - 1)
+        if step == 0:
+            t /= n - 1
+            t *= span
+        else:
+            t *= step
+        t += self.t_start
+        if n - 1 in k:
+            t[k.index(n - 1)] = self.t_end
+        return t
 
 
 def _map_rows(matrix: np.ndarray, amps: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -411,6 +428,53 @@ def _block_amps(block: CMatrix, deltas: np.ndarray, v0: np.ndarray, times: np.nd
         out += sin_term[..., None] * w[:, None, :]
 
 
+def _blocks(h: CMatrix, model: str) -> tuple[CMatrix, np.ndarray]:
+    """The 2x2 block of a ``_BLOCK_MODELS`` Hamiltonian ``h`` and its real
+    dark diagonal: for ``four_state`` the bright block and the dark pair
+    from ``block_diagonalize``, which must leave every other entry of the
+    rotated matrix, the dark pair's loss and coupling included, within
+    ``_BLOCK_TOL`` of the largest entry of ``h`` (else ValueError); for
+    the two-state models ``h`` itself and no dark entries."""
+    if model != "four_state":
+        return h, np.empty(0)
+    bright, dark, residual = block_diagonalize(h)
+    dark_diag = np.diag(dark).real
+    leak = max(residual, float(np.abs(dark - np.diag(dark_diag)).max()))
+    if not leak <= _BLOCK_TOL * np.abs(h).max():
+        raise ValueError(f"four_state Hamiltonian does not split into bright and dark blocks: residual {leak:.3g}")
+    return bright, dark_diag
+
+
+def _model_eigenvalues(p: Params, model: str) -> np.ndarray:
+    """The eigenvalues of a model's Hamiltonian, sorted as ``eigensystem``
+    sorts them.
+
+    A ``_BLOCK_MODELS`` model takes its block's pair m ± s from
+    ``_mean_and_root`` by the stable quadratic formula (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sec. 1.8):
+    the root of larger modulus as it is, the other as det / that root,
+    where m - s would cancel; ``four_state`` adds its dark diagonal.
+    Both parts of each root then keep their accuracy at any detuning,
+    where LAPACK's absolute error is eps times the largest entry.
+    ``nondegenerate4`` does not split and takes LAPACK's values.
+
+    Raises ValueError if an entry is not finite.
+    """
+    h = build_hamiltonian(p, model)
+    if model not in _BLOCK_MODELS:
+        return eigensystem(h).values
+    if not np.isfinite(h).all():
+        raise ValueError("matrix entries must be finite")
+    block, dark_diag = _blocks(h, model)
+    a, b, c, d = block.ravel()
+    m, _, s = _mean_and_root(a, b, c, d)
+    big = m + s if abs(m + s) >= abs(m - s) else m - s
+    # (ad - bc) / big, without a product that could overflow
+    small = a * (d / big) - b * (c / big) if big != 0 else 0.0
+    values = np.array([big, small, *dark_diag], dtype=np.complex128)
+    return values[np.lexsort((values.imag, values.real))]
+
+
 def _block_model_amps(p: Params, model: str, s0: State, deltas: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Amplitudes of a ``_BLOCK_MODELS`` model from ``s0`` at every
     detuning in ``deltas`` and every time in ``times``: shape (len(deltas),
@@ -425,14 +489,9 @@ def _block_model_amps(p: Params, model: str, s0: State, deltas: np.ndarray, time
     phase; raises ValueError unless every other entry of the rotated
     matrix, the dark pair's loss and coupling included, is at roundoff.
     """
-    bright = h0 = build_hamiltonian(replace(p, delta=-0.0), model)
+    bright, dark_diag = _blocks(build_hamiltonian(replace(p, delta=-0.0), model), model)
     v0 = s0.amps
     if model == "four_state":
-        bright, dark, residual = block_diagonalize(h0)
-        dark_diag = np.diag(dark).real
-        leak = max(residual, float(np.abs(dark - np.diag(dark_diag)).max()))
-        if not leak <= _BLOCK_TOL * np.abs(h0).max():
-            raise ValueError(f"four_state Hamiltonian does not split into bright and dark blocks: residual {leak:.3g}")
         v0 = _BRIGHT_DARK_MAP @ s0.amps
     amps = np.empty((deltas.size, times.size, v0.size), dtype=np.complex128)
     step = max(1, _CHUNK // deltas.size)

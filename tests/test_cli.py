@@ -301,12 +301,12 @@ class TestWriteCsv:
         assert b"\r" not in raw
 
 
-def _per_pair_points(x, ys):
+def _per_pair_points(x, ys, fx, fy):
     """Reference: the pair-by-pair polyline writer that the array formatter
-    replaced."""
-    xs = np.asarray(x).tolist()
+    replaced, with the pixel maps applied to whole series."""
+    xs = fx(np.asarray(x)).tolist()
     for y in ys:
-        yield [" ".join(map("%.2f,%.2f".__mod__, zip(xs, np.asarray(y).tolist()))).encode()]
+        yield [" ".join(map("%.2f,%.2f".__mod__, zip(xs, fy(np.asarray(y)).tolist()))).encode()]
 
 
 class TestRenderSvg:
@@ -358,6 +358,35 @@ class TestRenderSvg:
         text = "a < b & c > d &amp; <tag> \"q\" 'q'"
         assert _escape(text) == escape(text)
 
+    def test_an_identically_zero_column_draws_no_polyline(self, tmp_path):
+        grid = TimeGrid(0.0, 1.0, 5)
+        amps = np.zeros((5, 4), dtype=complex)
+        amps[:, 0] = 0.6
+        amps[:, 3] = 0.8j * np.linspace(1.0, 0.5, 5)
+        amps[2, 1] = 1e-7  # a population of 1e-14: below the plot's 1e-12
+        traj = Trajectory(grid, Basis.BRIGHTDARK4, amps, 1.0 - (np.abs(amps) ** 2).sum(axis=1))
+        path = tmp_path / "zero.svg"
+        render_svg(traj, path)
+        root = ET.parse(path).getroot()
+        assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 3
+        labels = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert labels[-3:] == ["pop_bg", "pop_de", "ionization"]
+
+    def test_peak_memory_is_one_column(self, tmp_path, strong_params):
+        """The plot forms one population column at a time and the pixel
+        coordinates per chunk: on 200001 samples of a four-state run
+        (amplitudes 12.8 MB) it peaked at 12.7 MB, where holding every
+        population column and whole pixel arrays peaked at 20.2 MB."""
+        p = dataclasses.replace(strong_params, delta=trapping_delta(strong_params))
+        traj = evolve(p, "four_state", "g1", TimeGrid(0.0, 6.0, 200001))
+        tracemalloc.start()
+        try:
+            render_svg(traj, tmp_path / "long.svg")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
     def test_empty_data_writes_nothing(self, tmp_path):
         profile = FanoProfile(np.array([]), np.array([]), 6.0, "four_state", "g1")
         path = tmp_path / "empty.svg"
@@ -398,6 +427,28 @@ class TestRun:
         cfg = parse_config(_cfg_text("eigen", model="bright2", delta="trap"))
         assert run(cfg) == 0
         assert "eigenvalues" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "model,shown",
+        [
+            (
+                "four_state",
+                "-5.825000-5.500000i, 6.825000+0.000000i, 100000000000000000000.000000-12.740000i, "
+                "100000000000000000000.000000+0.000000i",
+            ),
+            ("bright2", "-5.825000-5.500000i, 100000000000000000000.000000-12.740000i"),
+            ("twolevel2", "0.500000-2.750000i, 100000000000000000000.000000-6.370000i"),
+        ],
+    )
+    def test_eigen_keeps_the_decay_rates_far_from_resonance(self, tmp_path, capsys, model, shown):
+        """At delta = 1e20 LAPACK's error, eps·1e20, swamps the decay rates;
+        the closed-form pair keeps them (values checked against mpmath in
+        test_dynamics.py)."""
+        out = tmp_path / "eigen.csv"
+        assert run(parse_config(_cfg_text("eigen", model=model, delta=1e20, out=out))) == 0
+        assert capsys.readouterr().out == f"eigenvalues ({model}): {shown}\n"
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [f"{float(re):.6f}{float(im):+.6f}i" for _, re, im in rows] == shown.split(", ")
 
     def test_eigen_summary_prints_no_negative_zero(self, capsys):
         cfg = parse_config(_cfg_text("eigen", model="four_state", delta="trap"))
@@ -626,6 +677,65 @@ class TestRejections:
             warnings.simplefilter("error")
             assert main([str(config)]) == 1
         assert "error: delta_max - delta_min must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
+
+def _failing_after_first_piece(pieces_of, exc):
+    """``pieces_of``, an iterator of byte pieces, that raises ``exc`` after
+    its first piece."""
+
+    def failing(*args):
+        pieces = pieces_of(*args)
+        yield next(pieces)
+        raise exc
+
+    return failing
+
+
+class TestWholeOutputs:
+    """A run replaces each output whole or leaves it as it was."""
+
+    @staticmethod
+    def _evolve(tmp_path, n):
+        return run(parse_config(_cfg_text("evolve", n_samples=n, out=tmp_path / "run.csv", plot="true")))
+
+    def _outputs(self, tmp_path):
+        return {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    @pytest.mark.parametrize("exc", [RuntimeError("formatter failed"), KeyboardInterrupt()])
+    def test_a_failed_csv_leaves_both_files(self, tmp_path, monkeypatch, exc):
+        self._evolve(tmp_path, 201)
+        before = self._outputs(tmp_path)
+        monkeypatch.setattr(cli, "g17_rows", _failing_after_first_piece(cli.g17_rows, exc))
+        with pytest.raises(type(exc)):
+            self._evolve(tmp_path, 401)
+        assert self._outputs(tmp_path) == before
+
+    def test_a_failed_svg_leaves_the_old_svg(self, tmp_path, monkeypatch):
+        """The guarantee is per file: the CSV written before is the new one."""
+        self._evolve(tmp_path, 401)
+        new_csv = (tmp_path / "run.csv").read_bytes()
+        self._evolve(tmp_path, 201)
+        old_svg = (tmp_path / "run.svg").read_bytes()
+
+        f2_points = cli.f2_points
+
+        def failing_points(*args):
+            polylines = f2_points(*args)
+            yield _failing_after_first_piece(lambda: next(polylines), RuntimeError("formatter failed"))()
+
+        monkeypatch.setattr(cli, "f2_points", failing_points)
+        with pytest.raises(RuntimeError, match="formatter failed"):
+            self._evolve(tmp_path, 401)
+        assert self._outputs(tmp_path) == {"run.csv": new_csv, "run.svg": old_svg}
+
+
+    def test_a_missing_directory_names_the_output(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text(_cfg_text("evolve", n_samples=11, out=tmp_path / "missing" / "run.csv"))
+        assert main([str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory") and err.endswith("missing/run.csv'\n")
         assert list(tmp_path.iterdir()) == [config]
 
 

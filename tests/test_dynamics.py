@@ -3,14 +3,15 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lics
-from conftest import make_random_params
+from conftest import make_random_params, params_strategy
 from lics import (
     Basis,
     IntegrationError,
@@ -46,6 +47,7 @@ from lics.dynamics import (
     _SAFETY,
     _expm_pade,
     _fold_tableau,
+    _model_eigenvalues,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -193,6 +195,40 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, float("inf"), 10)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        start=st.floats(-1e8, 1e8),
+        span=st.one_of(
+            st.integers(1, 8).map(lambda ulps: ("ulps", ulps)),
+            st.floats(1e-6, 1e8).map(lambda width: ("width", width)),
+        ),
+        n=st.one_of(st.integers(2, 5), st.integers(2, 4000), st.sampled_from([65536, 10**5 + 1, 10**6])),
+        bounds=st.tuples(*[st.integers(-(10**6) - 2, 10**6 + 2) | st.none()] * 2),
+        stride=st.sampled_from([None, 1, 2, 3, 7, 4096, -1, -3]),
+        subnormal=st.booleans(),
+    )
+    def test_slices_equal_linspace_bit_for_bit(self, start, span, n, bounds, stride, subnormal):
+        """times(rows) is np.linspace(...)[rows] in every bit, including
+        grids a few ulps wide, whose step underflows to 0 near zero."""
+        if subnormal:  # |start| below 1e-308, so a few-ulp step is 0
+            start *= 1e-316
+        kind, size = span
+        if kind == "ulps":
+            end = start
+            for _ in range(size):
+                end = float(np.nextafter(end, np.inf))
+        else:
+            end = start + size
+        grid = TimeGrid(start, end, n)
+        whole = np.linspace(start, end, n)
+        for rows in (slice(None), slice(*bounds, stride)):
+            assert np.array_equal(grid.times(rows).view(np.uint64), whole[rows].view(np.uint64))
+
+    def test_a_step_that_underflows(self):
+        grid = TimeGrid(0.0, 5e-324, 3)
+        assert grid.t_end / (grid.n_samples - 1) == 0.0
+        assert np.array_equal(grid.times().view(np.uint64), np.linspace(0.0, 5e-324, 3).view(np.uint64))
+
     def test_sample_cap(self):
         assert TimeGrid(0.0, 1.0, 10**6).n_samples == 10**6
         with pytest.raises(ValueError, match="n_samples must be at most 1000000"):
@@ -338,6 +374,84 @@ class TestEigensystem:
         for shape in ((3, 3), (4,), (2, 2, 4), (2, 4, 4, 4)):
             with pytest.raises(ValueError, match="expected a 2x2 or 4x4 matrix"):
                 eigensystem(np.ones(shape, dtype=complex))
+
+
+def _mp_eigenvalues(h) -> list[complex]:
+    """The eigenvalues of the double matrix ``h`` to 40 digits beyond its
+    largest entry (mpmath)."""
+    digits = 40 + int(np.log10(max(1.0, np.abs(h).max())))
+    with mpmath.workdps(digits):
+        values = mpmath.eig(mpmath.matrix([[mpmath.mpc(v.real, v.imag) for v in row] for row in h]), right=False)
+        return [complex(v) for v in values]
+
+
+class TestModelEigenvalues:
+    """``_model_eigenvalues``: the closed-form pair of each block model."""
+
+    @pytest.mark.parametrize("model", ["four_state", "bright2", "twolevel2"])
+    @pytest.mark.parametrize("delta", [1e20, 1e100])
+    def test_far_detuned_against_mpmath(self, strong_params, model, delta):
+        """Both parts of every eigenvalue to 1e-12 relative, where LAPACK
+        loses the decay rates (its absolute error is eps·delta)."""
+        p = dataclasses.replace(strong_params, delta=delta)
+        values = _model_eigenvalues(p, model)
+        assert np.array_equal(values, _sorted(values))
+        truth = _mp_eigenvalues(build_hamiltonian(p, model))
+        for v in values:
+            nearest = min(truth, key=lambda z: abs(z - v))
+            truth.remove(nearest)
+            # the dark pair is real; mpmath leaves ~1e-40 there
+            assert abs(v.real - nearest.real) <= 1e-12 * abs(nearest.real) + 1e-30
+            assert abs(v.imag - nearest.imag) <= 1e-12 * abs(nearest.imag) + 1e-30
+        decay = sorted(np.round(-values.imag, 9))
+        bright = {"four_state": [0.0, 0.0, 5.5, 12.74], "bright2": [5.5, 12.74], "twolevel2": [2.75, 6.37]}
+        assert decay == bright[model]
+
+    def test_exceptional_point_is_a_double_root(self):
+        """delta = 4.75 on the exceptional-point set: the builders' double
+        matrices have the exact double root 2 - 2.5i.  bright2 returns it to
+        a few ulps.  four_state's bright block comes from the pi/4 rotation,
+        whose roundoff (~1e-16) splits a double root by its square root, as
+        it splits LAPACK's on the 4x4 matrix."""
+        p = Params(gamma_g=1, gamma_e=4, stark_g=0.5, stark_e=0.25, q_gg=1, q_eg=0.75, q_ee=0.5, delta=4.75)
+        for h in (bright_hamiltonian(p), effective_hamiltonian(p)):
+            truth = _mp_eigenvalues(h)
+            assert sum(abs(z - (2 - 2.5j)) < 1e-30 for z in truth) == 2
+        pair = _model_eigenvalues(p, "bright2")
+        assert np.abs(pair - (2 - 2.5j)).max() < 4 * np.finfo(float).eps * abs(2 - 2.5j)
+        four = _model_eigenvalues(p, "four_state")
+        assert np.allclose(four[[0, 3]], [1.0, 6.0], rtol=1e-15, atol=0)
+        lapack = eigenvalues(effective_hamiltonian(p))[1:3]
+        assert np.abs(four[1:3] - (2 - 2.5j)).max() < 1e-7
+        assert np.abs(lapack - (2 - 2.5j)).max() < 1e-7
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=params_strategy)
+    def test_agrees_with_lapack_at_moderate_detunings(self, p):
+        for model in ("four_state", "bright2", "twolevel2"):
+            h = build_hamiltonian(p, model)
+            es = eigensystem(h)
+            # near a defective root both are only good to sqrt(eps)
+            assume(not es.degenerate)
+            values = _model_eigenvalues(p, model)
+            # paired by distance: roots with equal real parts may sort either way
+            distance = np.abs(values[:, None] - es.values[None, :])
+            bound = 1e-12 * max(1.0, np.abs(h).max())
+            assert distance.min(axis=0).max() <= bound and distance.min(axis=1).max() <= bound
+
+    def test_nondegenerate4_takes_lapack(self, strong_params):
+        p = dataclasses.replace(strong_params, shift_g=0.2, shift_e=0.1, delta=1.5)
+        expected = eigensystem(build_hamiltonian(p, "nondegenerate4")).values
+        assert np.array_equal(_model_eigenvalues(p, "nondegenerate4"), expected)
+
+    def test_overflowing_entries_fail(self, strong_params):
+        """At delta = 1.7e308 four_state's entry 2 (delta + stark_e) overflows;
+        the two-state builders stay finite, and so does their pair."""
+        p = dataclasses.replace(strong_params, delta=1.7e308)
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            _model_eigenvalues(p, "four_state")
+        for model in ("bright2", "twolevel2"):
+            assert np.isfinite(_model_eigenvalues(p, model)).all()
 
 
 class TestPropagateExpm:
