@@ -329,41 +329,46 @@ def _f2_cells(values: np.ndarray, sep: bytes, cells: np.ndarray, keep: np.ndarra
 
 
 def f2_points(
-    x: np.ndarray,
+    n: int,
+    x: Callable[[slice], np.ndarray],
     ys: Iterable[np.ndarray],
     fx: Callable[[np.ndarray], np.ndarray],
     fy: Callable[[np.ndarray], np.ndarray],
 ) -> Iterator[Iterator[bytes]]:
-    """For each y, the bytes of ``" ".join(map("%.2f,%.2f".__mod__,
-    zip(fx(x), fy(y))))`` as an iterator of pieces, one per ``_F2_CHUNK``
-    points, so that a writer never holds a whole polyline.  ``fx`` and
-    ``fy`` act elementwise and are applied to one chunk at a time, so no
-    whole series of their values is held either.  The x cells of a chunk
-    are formatted only when the chunk changes: once for all the series of
-    a plot of up to ``_F2_CHUNK`` points."""
-    cells = np.empty((min(len(x), _F2_CHUNK), 6), dtype="<u4")
+    """For each y of ``n`` points, whose x in the slice ``rows`` is
+    ``x(rows)``, the bytes of ``" ".join(map("%.2f,%.2f".__mod__,
+    zip(fx(x(slice(None))), fy(y))))`` as an iterator of pieces, one per
+    ``_F2_CHUNK`` points, so that a writer never holds a whole polyline.
+    The x values are formed, and ``fx`` and ``fy`` applied, one chunk at a
+    time, so no whole series of x or of pixels is held either; both maps
+    must act elementwise.  The x cells of a chunk are formatted only when
+    the chunk changes: once for all the series of a plot of up to
+    ``_F2_CHUNK`` points."""
+    cells = np.empty((min(n, _F2_CHUNK), 6), dtype="<u4")
     keep = np.empty((len(cells), 24), dtype=bool)
     text = cells.view(np.uint8)
-    formatted, x_fits = None, False
+    formatted, x_fits, xs = None, False, None
 
     def pieces(y: np.ndarray) -> Iterator[bytes]:
-        nonlocal formatted, x_fits
-        for start in range(0, len(x), _F2_CHUNK):
-            rows = slice(start, start + _F2_CHUNK)
-            n = len(x[rows])
+        nonlocal formatted, x_fits, xs
+        for start in range(0, n, _F2_CHUNK):
+            stop = min(start + _F2_CHUNK, n)
+            rows = slice(start, stop)
+            m = stop - start
             if formatted != rows:
-                x_fits = _f2_cells(fx(x[rows]), b",", cells[:n, :3], keep[:n, :12])
+                xs = fx(x(rows))  # kept for a chunk that goes to %
+                x_fits = _f2_cells(xs, b",", cells[:m, :3], keep[:m, :12])
                 formatted = rows
-            if x_fits and _f2_cells(fy(y[rows]), b" ", cells[:n, 3:], keep[:n, 12:]):
+            if x_fits and _f2_cells(fy(y[rows]), b" ", cells[:m, 3:], keep[:m, 12:]):
                 step = _PIECE_BYTES // 24
                 piece = b"".join(
-                    np.compress(keep[k:n][:step].ravel(), text[k:n][:step]).tobytes() for k in range(0, n, step)
+                    np.compress(keep[k:m][:step].ravel(), text[k:m][:step]).tobytes() for k in range(0, m, step)
                 )
             else:  # a cell too long for its row: the chunk as % gives it
-                points = zip(fx(x[rows]).tolist(), fy(y[rows]).tolist())
+                points = zip(xs.tolist(), fy(y[rows]).tolist())
                 piece = "".join(map("%.2f,%.2f ".__mod__, points)).encode()
             # every point ends in a space, which the last one drops
-            yield piece if start + n < len(x) else piece[:-1]
+            yield piece if stop < n else piece[:-1]
 
     # an exhausted iterator of pieces drops its y, so the next is formed
     # after the last is released

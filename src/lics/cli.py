@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -47,8 +48,8 @@ from .dynamics import (
     MODELS,
     TimeGrid,
     Trajectory,
-    _model_eigenvalues,
     evolve,
+    model_eigenvalues,
 )
 from ._text import f2_points, g17_rows
 from .model import Params
@@ -223,20 +224,35 @@ _CSV_CELLS = 1 << 14
 
 @contextmanager
 def _replacing(path) -> Iterator[BinaryIO]:
-    """A binary file to write instead of ``path``: it has a hidden
-    temporary name in the same directory and replaces ``path`` whole once
-    it is complete.  On any exception, an interrupt too, the temporary is
-    removed and ``path`` is left as it was."""
-    path = Path(path)
-    part = path.with_name(f".{path.name}.{os.getpid()}.part")
+    """A binary file to write instead of ``path``.  The file that ``path``
+    resolves to through any symlinks, if it is regular or does not exist,
+    is written under a hidden temporary name in its directory, with the
+    old file's mode and, where allowed, owner, and replaced whole once
+    the temporary is complete; on any exception, an interrupt too, the
+    temporary is removed and the file is left as it was.  Anything else,
+    a device or a FIFO, is written in place."""
+    try:
+        old = os.stat(path)
+    except OSError:  # missing, or unreachable: opening the temporary reports it
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "wb") as f:
+            yield f
+        return
+    target = Path(os.path.realpath(path))
+    part = target.with_name(f".{target.name}.{os.getpid()}.part")
     try:
         f = open(part, "wb")
     except OSError as exc:  # an error names the output, not its temporary
         raise type(exc)(exc.errno, exc.strerror, str(path)) from None
     try:
         with f:
+            if old is not None:
+                with suppress(PermissionError):
+                    os.chown(part, old.st_uid, old.st_gid)
+                os.chmod(part, stat.S_IMODE(old.st_mode))
             yield f
-        os.replace(part, path)
+        os.replace(part, target)
     except BaseException:
         part.unlink(missing_ok=True)
         raise
@@ -332,18 +348,30 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
 _Series = tuple[str, Callable[[], np.ndarray], float, float]
 
 
+# the x of a plot: its length, a function that forms its values in a
+# slice of rows, and their smallest and largest value
+_Axis = tuple[int, Callable[[slice], np.ndarray], float, float]
+
+
 def _held(name: str, y: np.ndarray) -> _Series:
     """The series of an array that is already held; an empty one gets an
     empty range and is rejected, as its x is, by ``_svg_line_plot``."""
     return name, lambda: y, float(np.min(y, initial=np.inf)), float(np.max(y, initial=-np.inf))
 
 
-def _svg_line_plot(path, x: np.ndarray, series: list[_Series], xlabel: str) -> None:
-    """Plot each series against ``x``; its values are formed when its
-    polyline is written, and its pixel coordinates one chunk at a time."""
-    if len(x) == 0:
+def _held_axis(x: np.ndarray) -> _Axis:
+    """The x of an array that is already held."""
+    x = np.asarray(x, dtype=float)
+    return len(x), x.__getitem__, float(np.min(x, initial=np.inf)), float(np.max(x, initial=-np.inf))
+
+
+def _svg_line_plot(path, x: _Axis, series: list[_Series], xlabel: str) -> None:
+    """Plot each series against ``x``; the values of a series are formed
+    when its polyline is written, and the x values and the pixel
+    coordinates one chunk at a time."""
+    n, x_rows, xmin, xmax = x
+    if n == 0:
         raise ValueError("cannot plot empty data")
-    xmin, xmax = float(np.min(x)), float(np.max(x))
     if xmax == xmin:  # + 1.0 alone is absorbed from 2**53 on
         xmax = max(xmin + 1.0, float(np.nextafter(xmin, np.inf)))
     ymin = min(0.0, *(lo for _, _, lo, _ in series))
@@ -404,7 +432,7 @@ def _svg_line_plot(path, x: np.ndarray, series: list[_Series], xlabel: str) -> N
 
         # px and py work elementwise on arrays, with the same operations as on a float
         ys = (np.asarray(values(), dtype=float) for _, values, _, _ in series)
-        points = f2_points(np.asarray(x, dtype=float), ys, px, py)
+        points = f2_points(n, x_rows, ys, px, py)
         for idx, ((name, *_), pieces) in enumerate(zip(series, points)):
             color = "#444444" if name == "ionization" else _PALETTE[idx % len(_PALETTE)]
             dash = ' stroke-dasharray="6 4"' if name == "ionization" else ""
@@ -451,12 +479,14 @@ def render_svg(data: Trajectory | FanoProfile | DegeneracyReport, path) -> None:
             if hi > 1e-12:
                 series.append((f"pop_{label}", partial(population, j), lo, hi))
         series.append(_held("ionization", data.ionization))
-        _svg_line_plot(path, data.times, series, "t / T")
+        # the times are formed per chunk, from t_start to t_end
+        grid = data.grid
+        _svg_line_plot(path, (grid.n_samples, grid.times, float(grid.t_start), float(grid.t_end)), series, "t / T")
     elif isinstance(data, FanoProfile):
-        _svg_line_plot(path, data.deltas, [_held("ionization", data.ionization)], "delta (1/T)")
+        _svg_line_plot(path, _held_axis(data.deltas), [_held("ionization", data.ionization)], "delta (1/T)")
     elif isinstance(data, DegeneracyReport):
         series = [_held("degenerate", data.ionization_degenerate), _held("shifted", _one_splitting(data))]
-        _svg_line_plot(path, data.times, series, "t / T")
+        _svg_line_plot(path, _held_axis(data.times), series, "t / T")
     else:
         raise TypeError(f"cannot plot {type(data).__name__}")
 
@@ -500,7 +530,7 @@ def run(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "eigen":
-        values = _model_eigenvalues(cfg.params, cfg.model)
+        values = model_eigenvalues(cfg.params, cfg.model)
         if cfg.out is not None:
             columns = _columns(np.arange(len(values)), values.real, values.imag)
             _write_rows(cfg.out, "index,re_lambda,im_lambda", len(values), columns)

@@ -52,6 +52,7 @@ __all__ = [
     "IntegrationError",
     "eigensystem",
     "eigenvalues",
+    "model_eigenvalues",
     "propagate_expm",
     "integrate",
     "analytic_bright",
@@ -445,7 +446,7 @@ def _blocks(h: CMatrix, model: str) -> tuple[CMatrix, np.ndarray]:
     return bright, dark_diag
 
 
-def _model_eigenvalues(p: Params, model: str) -> np.ndarray:
+def model_eigenvalues(p: Params, model: str) -> np.ndarray:
     """The eigenvalues of a model's Hamiltonian, sorted as ``eigensystem``
     sorts them.
 
@@ -462,7 +463,7 @@ def _model_eigenvalues(p: Params, model: str) -> np.ndarray:
     """
     h = build_hamiltonian(p, model)
     if model not in _BLOCK_MODELS:
-        return eigensystem(h).values
+        return eigenvalues(h)
     if not np.isfinite(h).all():
         raise ValueError("matrix entries must be finite")
     block, dark_diag = _blocks(h, model)

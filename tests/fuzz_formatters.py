@@ -61,7 +61,8 @@ def _check_g17(values: np.ndarray) -> tuple[list[str], int]:
 
 
 def _check_f2(values: np.ndarray) -> tuple[list[str], int]:
-    got = b"".join(next(_text.f2_points(values, [values], np.asarray, np.asarray))).decode().split(" ")
+    points = _text.f2_points(len(values), values.__getitem__, [values], np.asarray, np.asarray)
+    got = b"".join(next(points)).decode().split(" ")
     bad = [f"%.2f: {v!r} gave {g}" for v, g in zip(values.tolist(), got) if g != "%.2f,%.2f" % (v, v)]
     return bad, np.count_nonzero(_text._f2_digits(values)[1])
 

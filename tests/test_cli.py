@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import stat
 import textwrap
 import tracemalloc
 import warnings
@@ -301,10 +303,10 @@ class TestWriteCsv:
         assert b"\r" not in raw
 
 
-def _per_pair_points(x, ys, fx, fy):
+def _per_pair_points(n, x, ys, fx, fy):
     """Reference: the pair-by-pair polyline writer that the array formatter
-    replaced, with the pixel maps applied to whole series."""
-    xs = fx(np.asarray(x)).tolist()
+    replaced, with x formed whole and the pixel maps applied to whole series."""
+    xs = fx(x(slice(None))).tolist()
     for y in ys:
         yield [" ".join(map("%.2f,%.2f".__mod__, zip(xs, fy(np.asarray(y)).tolist()))).encode()]
 
@@ -373,10 +375,11 @@ class TestRenderSvg:
         assert labels[-3:] == ["pop_bg", "pop_de", "ionization"]
 
     def test_peak_memory_is_one_column(self, tmp_path, strong_params):
-        """The plot forms one population column at a time and the pixel
-        coordinates per chunk: on 200001 samples of a four-state run
-        (amplitudes 12.8 MB) it peaked at 12.7 MB, where holding every
-        population column and whole pixel arrays peaked at 20.2 MB."""
+        """The plot forms one population column at a time, and the times
+        and the pixel coordinates per chunk: on 200001 samples of a
+        four-state run (amplitudes 12.8 MB) it peaked at 11.7 MB.  Holding
+        the whole time column as well peaked at 12.7 MB, and holding every
+        population column and whole pixel arrays besides at 20.2 MB."""
         p = dataclasses.replace(strong_params, delta=trapping_delta(strong_params))
         traj = evolve(p, "four_state", "g1", TimeGrid(0.0, 6.0, 200001))
         tracemalloc.start()
@@ -385,7 +388,7 @@ class TestRenderSvg:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 12.2e6
 
     def test_empty_data_writes_nothing(self, tmp_path):
         profile = FanoProfile(np.array([]), np.array([]), 6.0, "four_state", "g1")
@@ -729,6 +732,39 @@ class TestWholeOutputs:
             self._evolve(tmp_path, 401)
         assert self._outputs(tmp_path) == {"run.csv": new_csv, "run.svg": old_svg}
 
+    def test_a_symlinked_output_keeps_its_link(self, tmp_path):
+        """The file the link points to is replaced; the link stays."""
+        plain, linked = tmp_path / "plain", tmp_path / "linked"
+        plain.mkdir()
+        linked.mkdir()
+        self._evolve(plain, 201)
+        (tmp_path / "real.csv").write_text("old\n")
+        (linked / "run.csv").symlink_to("../real.csv")
+        self._evolve(linked, 201)
+        assert os.readlink(linked / "run.csv") == "../real.csv"
+        assert (tmp_path / "real.csv").read_bytes() == (plain / "run.csv").read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["linked", "plain", "real.csv"]
+
+    def test_an_existing_output_keeps_its_mode(self, tmp_path):
+        self._evolve(tmp_path, 201)
+        (tmp_path / "run.csv").chmod(0o640)
+        self._evolve(tmp_path, 401)
+        assert stat.S_IMODE((tmp_path / "run.csv").stat().st_mode) == 0o640
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_a_device_is_written_in_place(self, tmp_path, monkeypatch, strong_params):
+        """/dev/null is not replaced: nothing is renamed and no temporary is made."""
+
+        def no_replace(*args):
+            raise AssertionError("os.replace called on a device")
+
+        monkeypatch.setattr(cli.os, "replace", no_replace)
+        write_csv(evolve(strong_params, "bright2", "bright", TimeGrid(0.0, 1.0, 11)), "/dev/null")
+        config = tmp_path / "run.conf"
+        config.write_text(_cfg_text("fano", delta_steps=11, out="/dev/null"))
+        assert main([str(config)]) == 0
+        assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+        assert not [name for name in os.listdir("/dev") if name.startswith(".null.")]
 
     def test_a_missing_directory_names_the_output(self, tmp_path, capsys):
         config = tmp_path / "run.conf"

@@ -30,6 +30,7 @@ from lics import (
     evolve,
     from_bright_dark,
     integrate,
+    model_eigenvalues,
     nondegenerate_hamiltonian,
     propagate_expm,
     to_bright_dark,
@@ -47,7 +48,6 @@ from lics.dynamics import (
     _SAFETY,
     _expm_pade,
     _fold_tableau,
-    _model_eigenvalues,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -221,6 +221,8 @@ class TestTimeGrid:
             end = start + size
         grid = TimeGrid(start, end, n)
         whole = np.linspace(start, end, n)
+        # the plot takes the grid's ends as the range of its x
+        assert whole.min() == start and whole.max() == end
         for rows in (slice(None), slice(*bounds, stride)):
             assert np.array_equal(grid.times(rows).view(np.uint64), whole[rows].view(np.uint64))
 
@@ -386,7 +388,7 @@ def _mp_eigenvalues(h) -> list[complex]:
 
 
 class TestModelEigenvalues:
-    """``_model_eigenvalues``: the closed-form pair of each block model."""
+    """``model_eigenvalues``: the closed-form pair of each block model."""
 
     @pytest.mark.parametrize("model", ["four_state", "bright2", "twolevel2"])
     @pytest.mark.parametrize("delta", [1e20, 1e100])
@@ -394,7 +396,7 @@ class TestModelEigenvalues:
         """Both parts of every eigenvalue to 1e-12 relative, where LAPACK
         loses the decay rates (its absolute error is eps·delta)."""
         p = dataclasses.replace(strong_params, delta=delta)
-        values = _model_eigenvalues(p, model)
+        values = model_eigenvalues(p, model)
         assert np.array_equal(values, _sorted(values))
         truth = _mp_eigenvalues(build_hamiltonian(p, model))
         for v in values:
@@ -417,9 +419,9 @@ class TestModelEigenvalues:
         for h in (bright_hamiltonian(p), effective_hamiltonian(p)):
             truth = _mp_eigenvalues(h)
             assert sum(abs(z - (2 - 2.5j)) < 1e-30 for z in truth) == 2
-        pair = _model_eigenvalues(p, "bright2")
+        pair = model_eigenvalues(p, "bright2")
         assert np.abs(pair - (2 - 2.5j)).max() < 4 * np.finfo(float).eps * abs(2 - 2.5j)
-        four = _model_eigenvalues(p, "four_state")
+        four = model_eigenvalues(p, "four_state")
         assert np.allclose(four[[0, 3]], [1.0, 6.0], rtol=1e-15, atol=0)
         lapack = eigenvalues(effective_hamiltonian(p))[1:3]
         assert np.abs(four[1:3] - (2 - 2.5j)).max() < 1e-7
@@ -433,7 +435,7 @@ class TestModelEigenvalues:
             es = eigensystem(h)
             # near a defective root both are only good to sqrt(eps)
             assume(not es.degenerate)
-            values = _model_eigenvalues(p, model)
+            values = model_eigenvalues(p, model)
             # paired by distance: roots with equal real parts may sort either way
             distance = np.abs(values[:, None] - es.values[None, :])
             # LAPACK's error grows as eps·cond(V): at q_eg = 1e-9 and delta = 1
@@ -446,16 +448,16 @@ class TestModelEigenvalues:
     def test_nondegenerate4_takes_lapack(self, strong_params):
         p = dataclasses.replace(strong_params, shift_g=0.2, shift_e=0.1, delta=1.5)
         expected = eigensystem(build_hamiltonian(p, "nondegenerate4")).values
-        assert np.array_equal(_model_eigenvalues(p, "nondegenerate4"), expected)
+        assert np.array_equal(model_eigenvalues(p, "nondegenerate4"), expected)
 
     def test_overflowing_entries_fail(self, strong_params):
         """At delta = 1.7e308 four_state's entry 2 (delta + stark_e) overflows;
         the two-state builders stay finite, and so does their pair."""
         p = dataclasses.replace(strong_params, delta=1.7e308)
         with pytest.raises(ValueError, match="matrix entries must be finite"):
-            _model_eigenvalues(p, "four_state")
+            model_eigenvalues(p, "four_state")
         for model in ("bright2", "twolevel2"):
-            assert np.isfinite(_model_eigenvalues(p, model)).all()
+            assert np.isfinite(model_eigenvalues(p, model)).all()
 
 
 class TestPropagateExpm:

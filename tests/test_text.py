@@ -22,6 +22,11 @@ def _same(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _points(x: np.ndarray, ys, fx=_same, fy=_same):
+    """``f2_points`` of an x that is already held."""
+    return f2_points(len(x), x.__getitem__, ys, fx, fy)
+
+
 def _joined(points) -> list[str]:
     """Each polyline of ``f2_points`` as one string."""
     return [b"".join(pieces).decode("ascii") for pieces in points]
@@ -120,19 +125,19 @@ class TestF2Points:
                 chunk = v[start : start + _text._F2_CHUNK]
                 cells = np.empty((len(chunk), 3), dtype="<u4")
                 assert _text._f2_cells(chunk, b",", cells, np.empty((len(chunk), 12), dtype=bool))
-        assert _joined(f2_points(x, [y], _same, _same)) == [_per_pair_points(x, y)]
+        assert _joined(_points(x, [y])) == [_per_pair_points(x, y)]
 
     def test_matches_percent_with_cells_too_long_for_their_rows(self):
         y = _f2_values()
         assert not _fits_a_row(y).all()
         x = np.random.default_rng(1614).permutation(y)
-        assert _joined(f2_points(x, [y], _same, _same)) == [_per_pair_points(x, y)]
+        assert _joined(_points(x, [y])) == [_per_pair_points(x, y)]
 
     @pytest.mark.parametrize("n", [1001, _text._F2_CHUNK + 1001])
     def test_x_is_shared_by_every_series(self, n):
         x = np.linspace(64.0, 592.0, n)
         ys = [np.linspace(28.0, 432.0, n), -x, np.full(n, np.nan)]
-        assert _joined(f2_points(x, ys, _same, _same)) == [_per_pair_points(x, y) for y in ys]
+        assert _joined(_points(x, ys)) == [_per_pair_points(x, y) for y in ys]
 
     def test_maps_are_applied_per_chunk(self):
         """fx and fy see one chunk at a time and give the text of the maps
@@ -151,15 +156,34 @@ class TestF2Points:
             seen.append(len(v))
             return 28.0 + (1.0 - v) * 202.0
 
-        got = _joined(f2_points(x, ys, fx, fy))
+        got = _joined(_points(x, ys, fx, fy))
         assert max(seen) == _text._F2_CHUNK
         assert got == [_per_pair_points(fx(x), fy(y)) for y in ys]
+
+    def test_x_is_formed_per_chunk(self):
+        """x is asked for one chunk of rows at a time, in order, and again
+        only where the chunk changes: a chunk that goes to % reuses it."""
+        n = 2 * _text._F2_CHUNK + 10
+        x = np.linspace(64.0, 592.0, n)
+        ys = [x[::-1].copy(), x.copy()]
+        ys[1][-3] = -1e9  # the last chunk of the second series goes to %
+        asked = []
+
+        def x_rows(rows):
+            asked.append((rows.start, rows.stop))
+            return x[rows]
+
+        got = _joined(f2_points(n, x_rows, ys, _same, _same))
+        assert got == [_per_pair_points(x, y) for y in ys]
+        c = _text._F2_CHUNK
+        chunks = [(0, c), (c, 2 * c), (2 * c, n)]
+        assert asked == chunks + chunks
 
     def test_one_piece_per_chunk(self):
         """A polyline comes in pieces of ``_F2_CHUNK`` points, so that its
         writer never holds it whole."""
         x = np.linspace(64.0, 592.0, 2 * _text._F2_CHUNK + 1)
-        pieces = list(next(f2_points(x, [x], _same, _same)))
+        pieces = list(next(_points(x, [x])))
         assert len(pieces) == 3
         assert [piece.count(b" ") for piece in pieces] == [_text._F2_CHUNK, _text._F2_CHUNK, 0]
 
@@ -180,4 +204,4 @@ class TestF2Points:
             assert _text._f2_cells(v, b",", cells, np.empty((len(v), 12), dtype=bool)) == fits
         for x in (x, x_long):
             expected = [_per_pair_points(x, y_long), _per_pair_points(x, y)]
-            assert _joined(f2_points(x, [y_long, y], _same, _same)) == expected
+            assert _joined(_points(x, [y_long, y])) == expected
