@@ -239,22 +239,27 @@ def _replacing(path) -> Iterator[BinaryIO]:
         with open(path, "wb") as f:
             yield f
         return
-    target = Path(os.path.realpath(path))
-    part = target.with_name(f".{target.name}.{os.getpid()}.part")
+    # a link stays: the file it points to is replaced
+    target = os.path.realpath(path) if os.path.islink(path) else os.fspath(path)
+    head, name = os.path.split(target)
+    part = os.path.join(head, f".{name}.{os.getpid()}.part")
     try:
         f = open(part, "wb")
     except OSError as exc:  # an error names the output, not its temporary
         raise type(exc)(exc.errno, exc.strerror, str(path)) from None
     try:
         with f:
-            if old is not None:
-                with suppress(PermissionError):
-                    os.chown(part, old.st_uid, old.st_gid)
-                os.chmod(part, stat.S_IMODE(old.st_mode))
+            if old is not None:  # each call writes the inode, so only where it differs
+                new = os.fstat(f.fileno())
+                if (new.st_uid, new.st_gid) != (old.st_uid, old.st_gid):
+                    with suppress(PermissionError):
+                        os.fchown(f.fileno(), old.st_uid, old.st_gid)
+                if stat.S_IMODE(new.st_mode) != stat.S_IMODE(old.st_mode):
+                    os.fchmod(f.fileno(), stat.S_IMODE(old.st_mode))
             yield f
         os.replace(part, target)
     except BaseException:
-        part.unlink(missing_ok=True)
+        Path(part).unlink(missing_ok=True)
         raise
 
 
