@@ -331,25 +331,25 @@ def _f2_cells(values: np.ndarray, sep: bytes, cells: np.ndarray, keep: np.ndarra
 def f2_points(
     n: int,
     x: Callable[[slice], np.ndarray],
-    ys: Iterable[np.ndarray],
+    ys: Iterable[Callable[[slice], np.ndarray]],
     fx: Callable[[np.ndarray], np.ndarray],
     fy: Callable[[np.ndarray], np.ndarray],
 ) -> Iterator[Iterator[bytes]]:
-    """For each y of ``n`` points, whose x in the slice ``rows`` is
-    ``x(rows)``, the bytes of ``" ".join(map("%.2f,%.2f".__mod__,
-    zip(fx(x(slice(None))), fy(y))))`` as an iterator of pieces, one per
-    ``_F2_CHUNK`` points, so that a writer never holds a whole polyline.
-    The x values are formed, and ``fx`` and ``fy`` applied, one chunk at a
-    time, so no whole series of x or of pixels is held either; both maps
-    must act elementwise.  The x cells of a chunk are formatted only when
-    the chunk changes: once for all the series of a plot of up to
-    ``_F2_CHUNK`` points."""
+    """For each y of ``n`` points, the bytes of ``" ".join(map(
+    "%.2f,%.2f".__mod__, zip(fx(x(rows)), fy(y(rows)))))`` over all rows,
+    as an iterator of pieces, one per ``_F2_CHUNK`` points, so that a
+    writer never holds a whole polyline.  ``x`` and each y are functions
+    that form their values in a slice of rows; they are asked for, and
+    ``fx`` and ``fy`` applied, one chunk at a time, so no whole column of
+    values or of pixels is held; both maps must act elementwise.  The x
+    cells of a chunk are formatted only when the chunk changes: once for
+    all the series of a plot of up to ``_F2_CHUNK`` points."""
     cells = np.empty((min(n, _F2_CHUNK), 6), dtype="<u4")
     keep = np.empty((len(cells), 24), dtype=bool)
     text = cells.view(np.uint8)
     formatted, x_fits, xs = None, False, None
 
-    def pieces(y: np.ndarray) -> Iterator[bytes]:
+    def pieces(y: Callable[[slice], np.ndarray]) -> Iterator[bytes]:
         nonlocal formatted, x_fits, xs
         for start in range(0, n, _F2_CHUNK):
             stop = min(start + _F2_CHUNK, n)
@@ -359,17 +359,17 @@ def f2_points(
                 xs = fx(x(rows))  # kept for a chunk that goes to %
                 x_fits = _f2_cells(xs, b",", cells[:m, :3], keep[:m, :12])
                 formatted = rows
-            if x_fits and _f2_cells(fy(y[rows]), b" ", cells[:m, 3:], keep[:m, 12:]):
+            values = fy(y(rows))  # formed once, for the fast path and for %
+            if x_fits and _f2_cells(values, b" ", cells[:m, 3:], keep[:m, 12:]):
                 step = _PIECE_BYTES // 24
                 piece = b"".join(
                     np.compress(keep[k:m][:step].ravel(), text[k:m][:step]).tobytes() for k in range(0, m, step)
                 )
             else:  # a cell too long for its row: the chunk as % gives it
-                points = zip(xs.tolist(), fy(y[rows]).tolist())
+                points = zip(xs.tolist(), values.tolist())
                 piece = "".join(map("%.2f,%.2f ".__mod__, points)).encode()
+            del values
             # every point ends in a space, which the last one drops
             yield piece if stop < n else piece[:-1]
 
-    # an exhausted iterator of pieces drops its y, so the next is formed
-    # after the last is released
     yield from map(pieces, ys)

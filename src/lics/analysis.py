@@ -10,6 +10,7 @@ whose asymmetric dip sits near it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,12 +20,12 @@ from .dynamics import (
     INITS,
     TimeGrid,
     _ionization_values,
-    _mean_and_root,
     _scan_ionization,
     evolve,
     integrate,
+    model_eigenvalues,
 )
-from .model import Params, bright_hamiltonian, nondegenerate_hamiltonian
+from .model import Params, nondegenerate_hamiltonian
 from .transforms import Basis, State
 
 __all__ = [
@@ -72,12 +73,12 @@ def trapping_residual(p: Params, delta: float) -> float:
 
     Zero (to roundoff) exactly on the trapping manifold; grows with the
     distance from it, making this a scannable figure of merit.  The
-    eigenvalues m ± s come from the closed form of the propagation
-    kernel, which keeps the decay rates exact to roundoff of the rates,
-    also where the detuning's roundoff exceeds them.
+    eigenvalues are ``model_eigenvalues``' of ``bright2``, whose decay
+    rates stay exact to roundoff of the rates, also where the detuning's
+    roundoff exceeds them.
     """
-    m, _, s = _mean_and_root(*bright_hamiltonian(replace(p, delta=float(delta))).ravel())
-    return float(min(abs((m + s).imag), abs((m - s).imag)))
+    values = model_eigenvalues(replace(p, delta=float(delta)), "bright2")
+    return float(np.abs(values.imag).min())
 
 
 def ionization(s: State) -> float:
@@ -129,8 +130,8 @@ def fano_scan(p: Params, delta_grid, t_obs: float, init="bright", model: str = "
         raise ValueError(f"delta grid must hold at most {_MAX_GRID_POINTS} points, got {deltas.size}")
     if not np.all(deltas[1:] > deltas[:-1]):
         raise ValueError("delta grid must be strictly increasing")
-    if not t_obs > 0:
-        raise ValueError(f"t_obs must be positive, got {t_obs}")
+    if not sys.float_info.min <= t_obs < np.inf:  # the bounds of a TimeGrid's step
+        raise ValueError(f"t_obs must be a finite double of at least {sys.float_info.min}, got {t_obs}")
 
     values = _scan_ionization(p, model, init, deltas, float(t_obs))
     init_tag = init if isinstance(init, str) else "custom"

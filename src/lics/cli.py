@@ -27,7 +27,6 @@ import sys
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from pathlib import Path
 from typing import BinaryIO
 
@@ -51,7 +50,7 @@ from .dynamics import (
     evolve,
     model_eigenvalues,
 )
-from ._text import f2_points, g17_rows
+from ._text import _F2_CHUNK, f2_points, g17_rows
 from .model import Params
 
 __all__ = [
@@ -335,7 +334,9 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     if not 0 < raw < np.inf:  # an empty span, or one that underflows or overflows
         return [lo] if span <= 0 else [lo, hi]
     mag = 10.0 ** np.floor(np.log10(raw))
-    step = next(s * mag for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw)
+    step = next((s * mag for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw), None)
+    if step is None:  # a span below about 6e-323, whose power of ten underflows
+        return [lo, hi]
     first = np.ceil(lo / step) * step
     ticks = []
     t = first
@@ -348,39 +349,37 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
-# a plotted series: its name, a function that forms its values, and their
-# smallest and largest value
-_Series = tuple[str, Callable[[], np.ndarray], float, float]
+# a plotted column, x or y: a function that forms its values in a slice of rows
+_Column = Callable[[slice], np.ndarray]
 
 
-# the x of a plot: its length, a function that forms its values in a
-# slice of rows, and their smallest and largest value
-_Axis = tuple[int, Callable[[slice], np.ndarray], float, float]
+def _rows_of(values) -> _Column:
+    """The column of values that are already held: their rows as floats."""
+    return np.asarray(values, dtype=float).__getitem__
 
 
-def _held(name: str, y: np.ndarray) -> _Series:
-    """The series of an array that is already held; an empty one gets an
-    empty range and is rejected, as its x is, by ``_svg_line_plot``."""
-    return name, lambda: y, float(np.min(y, initial=np.inf)), float(np.max(y, initial=-np.inf))
+def _extent(n: int, column: _Column) -> tuple[float, float]:
+    """The smallest and largest of a column's ``n`` values, formed one
+    ``_F2_CHUNK`` of rows at a time; (inf, -inf) for no values."""
+    lo, hi = np.inf, -np.inf
+    for start in range(0, n, _F2_CHUNK):
+        values = column(slice(start, start + _F2_CHUNK))
+        lo, hi = np.min(values, initial=lo), np.max(values, initial=hi)
+    return float(lo), float(hi)
 
 
-def _held_axis(x: np.ndarray) -> _Axis:
-    """The x of an array that is already held."""
-    x = np.asarray(x, dtype=float)
-    return len(x), x.__getitem__, float(np.min(x, initial=np.inf)), float(np.max(x, initial=-np.inf))
-
-
-def _svg_line_plot(path, x: _Axis, series: list[_Series], xlabel: str) -> None:
-    """Plot each series against ``x``; the values of a series are formed
-    when its polyline is written, and the x values and the pixel
-    coordinates one chunk at a time."""
-    n, x_rows, xmin, xmax = x
+def _svg_line_plot(path, n: int, x: _Column, series: list[tuple[str, _Column]], xlabel: str) -> None:
+    """Plot each named series of ``n`` points against ``x``.  Every column
+    is asked for one chunk of rows at a time, for its range and again for
+    its polyline, so no whole column of values or of pixels is held."""
     if n == 0:
         raise ValueError("cannot plot empty data")
+    xmin, xmax = _extent(n, x)
     if xmax == xmin:  # + 1.0 alone is absorbed from 2**53 on
         xmax = max(xmin + 1.0, float(np.nextafter(xmin, np.inf)))
-    ymin = min(0.0, *(lo for _, _, lo, _ in series))
-    ymax = max(hi for _, _, _, hi in series)
+    ranges = [_extent(n, y) for _, y in series]
+    ymin = min(0.0, *(lo for lo, _ in ranges))
+    ymax = max(hi for _, hi in ranges)
     if ymax <= ymin:
         ymax = ymin + 1.0
     ymax += 0.05 * (ymax - ymin)
@@ -436,9 +435,8 @@ def _svg_line_plot(path, x: _Axis, series: list[_Series], xlabel: str) -> None:
         )
 
         # px and py work elementwise on arrays, with the same operations as on a float
-        ys = (np.asarray(values(), dtype=float) for _, values, _, _ in series)
-        points = f2_points(n, x_rows, ys, px, py)
-        for idx, ((name, *_), pieces) in enumerate(zip(series, points)):
+        points = f2_points(n, x, [y for _, y in series], px, py)
+        for idx, ((name, _), pieces) in enumerate(zip(series, points)):
             color = "#444444" if name == "ionization" else _PALETTE[idx % len(_PALETTE)]
             dash = ' stroke-dasharray="6 4"' if name == "ionization" else ""
             # each polyline goes to the file piece by piece, never whole
@@ -468,30 +466,20 @@ def render_svg(data: Trajectory | FanoProfile | DegeneracyReport, path) -> None:
     the degenerate and shifted ionization versus time.
     """
     if isinstance(data, Trajectory):
-
-        def population(j: int) -> np.ndarray:
-            pop = np.abs(data.amps[:, j])
-            pop **= 2
-            return pop
-
-        # each population column is formed here for its range, and again
-        # when its polyline is written, so at most one is held at a time
-        series: list[_Series] = []
-        for j, label in enumerate(data.basis.labels):
-            pop = population(j)
-            lo, hi = float(pop.min()), float(pop.max())
-            del pop
-            if hi > 1e-12:
-                series.append((f"pop_{label}", partial(population, j), lo, hi))
-        series.append(_held("ionization", data.ionization))
-        # the times are formed per chunk, from t_start to t_end
-        grid = data.grid
-        _svg_line_plot(path, (grid.n_samples, grid.times, float(grid.t_start), float(grid.t_end)), series, "t / T")
+        n = data.grid.n_samples
+        pops = [
+            (f"pop_{label}", lambda rows, j=j: np.abs(data.amps[rows, j]) ** 2)
+            for j, label in enumerate(data.basis.labels)
+        ]
+        series = [(name, pop) for name, pop in pops if _extent(n, pop)[1] > 1e-12]
+        series.append(("ionization", _rows_of(data.ionization)))
+        _svg_line_plot(path, n, data.grid.times, series, "t / T")
     elif isinstance(data, FanoProfile):
-        _svg_line_plot(path, _held_axis(data.deltas), [_held("ionization", data.ionization)], "delta (1/T)")
+        series = [("ionization", _rows_of(data.ionization))]
+        _svg_line_plot(path, len(data.deltas), _rows_of(data.deltas), series, "delta (1/T)")
     elif isinstance(data, DegeneracyReport):
-        series = [_held("degenerate", data.ionization_degenerate), _held("shifted", _one_splitting(data))]
-        _svg_line_plot(path, _held_axis(data.times), series, "t / T")
+        series = [("degenerate", _rows_of(data.ionization_degenerate)), ("shifted", _rows_of(_one_splitting(data)))]
+        _svg_line_plot(path, len(data.times), _rows_of(data.times), series, "t / T")
     else:
         raise TypeError(f"cannot plot {type(data).__name__}")
 

@@ -31,6 +31,7 @@ and never forms an exponential.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,22 +125,23 @@ class TimeGrid:
             raise ValueError(f"n_samples must be an integer >= 2, got {self.n_samples}")
         if self.n_samples > _MAX_GRID_POINTS:
             raise ValueError(f"n_samples must be at most {_MAX_GRID_POINTS}, got {self.n_samples}")
+        # a subnormal step rounds by up to half its size, and can put a sample past t_end
+        step = (self.t_end - self.t_start) / (self.n_samples - 1)
+        if not sys.float_info.min <= step < math.inf:
+            raise ValueError(
+                f"grid step (t_end - t_start) / (n_samples - 1) must be a finite double of at least "
+                f"{sys.float_info.min}, got {step}"
+            )
 
     def times(self, rows: slice = slice(None)) -> np.ndarray:
         """The sample times in ``rows``, bit for bit ``np.linspace(t_start,
         t_end, n_samples)[rows]`` without forming the whole grid: k * step
-        + t_start by linspace's own operations, k / (n - 1) * span where
-        the step underflows to 0, and t_end for the last sample."""
+        + t_start by linspace's own operations, and t_end for the last
+        sample."""
         n = self.n_samples
         k = range(n)[rows]
         t = np.arange(k.start, k.stop, k.step, dtype=float)
-        span = self.t_end - self.t_start
-        step = span / (n - 1)
-        if step == 0:
-            t /= n - 1
-            t *= span
-        else:
-            t *= step
+        t *= (self.t_end - self.t_start) / (n - 1)
         t += self.t_start
         if n - 1 in k:
             t[k.index(n - 1)] = self.t_end

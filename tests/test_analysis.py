@@ -143,6 +143,9 @@ class TestFanoScan:
             fano_scan(strong_params, [1.0, 0.5], 6.0)
         with pytest.raises(ValueError):
             fano_scan(strong_params, [0.0, 1.0], -1.0)
+        for t_obs in (1e-310, np.inf):  # a subnormal or infinite step of the grid [0, t_obs]
+            with pytest.raises(ValueError, match="t_obs must be a finite double of at least 2.2250738585072014e-308"):
+                fano_scan(strong_params, [0.0, 1.0], t_obs)
 
     def test_grid_size_is_capped(self, strong_params):
         # the cap is checked before the grid is read, so zeros cost nothing

@@ -308,7 +308,7 @@ def _per_pair_points(n, x, ys, fx, fy):
     replaced, with x formed whole and the pixel maps applied to whole series."""
     xs = fx(x(slice(None))).tolist()
     for y in ys:
-        yield [" ".join(map("%.2f,%.2f".__mod__, zip(xs, fy(np.asarray(y)).tolist()))).encode()]
+        yield [" ".join(map("%.2f,%.2f".__mod__, zip(xs, fy(y(slice(None))).tolist()))).encode()]
 
 
 class TestRenderSvg:
@@ -375,10 +375,11 @@ class TestRenderSvg:
         assert labels[-3:] == ["pop_bg", "pop_de", "ionization"]
 
     def test_peak_memory_is_one_column(self, tmp_path, strong_params):
-        """The plot forms one population column at a time, and the times
-        and the pixel coordinates per chunk: on 200001 samples of a
-        four-state run (amplitudes 12.8 MB) it peaked at 11.7 MB.  Holding
-        the whole time column as well peaked at 12.7 MB, and holding every
+        """The plot forms every column, the times and the populations as
+        well as the pixel coordinates, one chunk of rows at a time: on
+        200001 samples of a four-state run (amplitudes 12.8 MB) it peaked
+        at 10.1 MB.  Holding one whole population column peaked at
+        11.7 MB, the whole time column as well at 12.7 MB, and every
         population column and whole pixel arrays besides at 20.2 MB."""
         p = dataclasses.replace(strong_params, delta=trapping_delta(strong_params))
         traj = evolve(p, "four_state", "g1", TimeGrid(0.0, 6.0, 200001))
@@ -388,7 +389,14 @@ class TestRenderSvg:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12.2e6
+        assert peak < 11.1e6
+
+    def test_a_profile_of_lists(self, tmp_path):
+        """Held columns are taken as float arrays, as the CSV writer takes them."""
+        path = tmp_path / "lists.svg"
+        render_svg(FanoProfile([-1.0, 0.0, 1.0], [0.1, 0.5, 0.2], 6.0, "four_state", "g1"), path)
+        polyline = ET.parse(path).getroot().find("{http://www.w3.org/2000/svg}polyline")
+        assert [point.split(",")[0] for point in polyline.get("points").split()] == ["64.00", "328.00", "592.00"]
 
     def test_empty_data_writes_nothing(self, tmp_path):
         profile = FanoProfile(np.array([]), np.array([]), 6.0, "four_state", "g1")
@@ -784,6 +792,7 @@ class TestDegenerateAxes:
             (1.0, 1.0000000000000002),  # the step is below half an ulp of 1
             (1e20, 1.0000000000000002e20),
             (0.0, 5e-324),  # the span's sixth underflows to zero
+            (0.0, 5e-323),  # the sixth is subnormal and its power of ten underflows
             (-1e308, 1e308),  # the span overflows
         ],
     )
@@ -831,6 +840,7 @@ class TestDegenerateAxes:
         [
             ("evolve", dict(t_start=1, t_end=1.0000000000000002, n_samples=2)),
             ("fano", dict(delta_min=1e20, delta_max=1.0000000000000002e20, delta_steps=2)),
+            ("fano", dict(delta_min=0.0, delta_max=5e-323, delta_steps=2)),
         ],
     )
     def test_runs_of_a_few_ulps_finish(self, tmp_path, command, extra):

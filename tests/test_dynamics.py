@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -7,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lics
@@ -194,6 +195,8 @@ class TestTimeGrid:
             TimeGrid(0.0, 1.0, 1)
         with pytest.raises(ValueError):
             TimeGrid(0.0, float("inf"), 10)
+        with pytest.raises(ValueError, match=r"grid step .* got inf"):  # linspace: [nan, inf, inf, inf, 1e308]
+            TimeGrid(-1e308, 1e308, 5)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -207,10 +210,13 @@ class TestTimeGrid:
         stride=st.sampled_from([None, 1, 2, 3, 7, 4096, -1, -3]),
         subnormal=st.booleans(),
     )
+    # linspace puts sample 4 of this grid at 2e-323, past t_end = 1.5e-323
+    @example(start=0.0, span=("ulps", 3), n=6, bounds=(None, None), stride=None, subnormal=False)
     def test_slices_equal_linspace_bit_for_bit(self, start, span, n, bounds, stride, subnormal):
         """times(rows) is np.linspace(...)[rows] in every bit, including
-        grids a few ulps wide, whose step underflows to 0 near zero."""
-        if subnormal:  # |start| below 1e-308, so a few-ulp step is 0
+        grids a few ulps wide; a grid whose step is not a normal double,
+        as a few-ulp step near zero is, is rejected."""
+        if subnormal:  # |start| below 1e-308, so a few-ulp step is subnormal
             start *= 1e-316
         kind, size = span
         if kind == "ulps":
@@ -219,17 +225,25 @@ class TestTimeGrid:
                 end = float(np.nextafter(end, np.inf))
         else:
             end = start + size
+        if (end - start) / (n - 1) < sys.float_info.min:
+            with pytest.raises(ValueError, match="grid step"):
+                TimeGrid(start, end, n)
+            return
         grid = TimeGrid(start, end, n)
         whole = np.linspace(start, end, n)
-        # the plot takes the grid's ends as the range of its x
+        # the plot's x range is that of the samples: the grid's ends
         assert whole.min() == start and whole.max() == end
         for rows in (slice(None), slice(*bounds, stride)):
             assert np.array_equal(grid.times(rows).view(np.uint64), whole[rows].view(np.uint64))
 
     def test_a_step_that_underflows(self):
-        grid = TimeGrid(0.0, 5e-324, 3)
-        assert grid.t_end / (grid.n_samples - 1) == 0.0
-        assert np.array_equal(grid.times().view(np.uint64), np.linspace(0.0, 5e-324, 3).view(np.uint64))
+        """A step below the smallest normal double is rejected: subnormal,
+        it rounds by up to half its size."""
+        with pytest.raises(ValueError, match=r"grid step .* at least 2.2250738585072014e-308, got 0.0"):
+            TimeGrid(0.0, 5e-324, 3)
+        with pytest.raises(ValueError, match="grid step"):
+            TimeGrid(0.0, 1.5e-323, 6)
+        assert TimeGrid(0.0, 2 * sys.float_info.min, 3).times()[1] == sys.float_info.min
 
     def test_sample_cap(self):
         assert TimeGrid(0.0, 1.0, 10**6).n_samples == 10**6

@@ -23,8 +23,8 @@ def _same(v: np.ndarray) -> np.ndarray:
 
 
 def _points(x: np.ndarray, ys, fx=_same, fy=_same):
-    """``f2_points`` of an x that is already held."""
-    return f2_points(len(x), x.__getitem__, ys, fx, fy)
+    """``f2_points`` of an x and ys that are already held."""
+    return f2_points(len(x), x.__getitem__, [y.__getitem__ for y in ys], fx, fy)
 
 
 def _joined(points) -> list[str]:
@@ -162,22 +162,26 @@ class TestF2Points:
 
     def test_x_is_formed_per_chunk(self):
         """x is asked for one chunk of rows at a time, in order, and again
-        only where the chunk changes: a chunk that goes to % reuses it."""
+        only where the chunk changes; each y once per chunk.  A chunk that
+        goes to % reuses both."""
         n = 2 * _text._F2_CHUNK + 10
         x = np.linspace(64.0, 592.0, n)
         ys = [x[::-1].copy(), x.copy()]
         ys[1][-3] = -1e9  # the last chunk of the second series goes to %
         asked = []
 
-        def x_rows(rows):
-            asked.append((rows.start, rows.stop))
-            return x[rows]
+        def rows_of(name, values):
+            def column(rows):
+                asked.append((name, rows.start, rows.stop))
+                return values[rows]
 
-        got = _joined(f2_points(n, x_rows, ys, _same, _same))
+            return column
+
+        got = _joined(f2_points(n, rows_of("x", x), [rows_of(k, y) for k, y in enumerate(ys)], _same, _same))
         assert got == [_per_pair_points(x, y) for y in ys]
         c = _text._F2_CHUNK
         chunks = [(0, c), (c, 2 * c), (2 * c, n)]
-        assert asked == chunks + chunks
+        assert asked == [(name, *chunk) for k in range(2) for chunk in chunks for name in ("x", k)]
 
     def test_one_piece_per_chunk(self):
         """A polyline comes in pieces of ``_F2_CHUNK`` points, so that its
