@@ -4,12 +4,14 @@ The central result wrapped here: for the right two-photon detuning the
 bright pair acquires one real eigenvalue, so part of the population
 never reaches the continuum.  ``trapping_delta`` gives that detuning in
 closed form, ``trapping_residual`` measures how far a given detuning is
-from it spectrally, and ``fano_scan`` traces the ionization profile
-whose asymmetric dip sits near it.
+from it spectrally, ``analytic_bright`` and ``analytic_g1`` give the
+amplitudes on it in closed form, and ``fano_scan`` traces the ionization
+profile whose asymmetric dip sits near it.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -37,6 +39,8 @@ __all__ = [
     "fano_scan",
     "default_delta_grid",
     "asymptotic_survival",
+    "analytic_bright",
+    "analytic_g1",
     "degeneracy_validity",
 ]
 
@@ -96,9 +100,6 @@ class FanoProfile:
 
     deltas: np.ndarray
     ionization: np.ndarray
-    observation_time: float
-    model: str
-    init: str
 
     @property
     def min_delta(self) -> float:
@@ -133,9 +134,7 @@ def fano_scan(p: Params, delta_grid, t_obs: float, init="bright", model: str = "
     if not sys.float_info.min <= t_obs < np.inf:  # the bounds of a TimeGrid's step
         raise ValueError(f"t_obs must be a finite double of at least {sys.float_info.min}, got {t_obs}")
 
-    values = _scan_ionization(p, model, init, deltas, float(t_obs))
-    init_tag = init if isinstance(init, str) else "custom"
-    return FanoProfile(deltas, values, float(t_obs), model, init_tag)
+    return FanoProfile(deltas, _scan_ionization(p, model, init, deltas, float(t_obs)))
 
 
 def default_delta_grid(p: Params, n: int = 2001) -> np.ndarray:
@@ -165,60 +164,80 @@ def asymptotic_survival(p: Params, init) -> float:
     return 0.5 + 0.5 * bright_part
 
 
+def analytic_bright(p: Params, t):
+    """Closed-form (b_g, b_e) for b_g(0) = 1; needs delta at trapping.
+
+    ``t`` may be a scalar or an array of times in T.
+    """
+    _require_trapping(p, "closed form")
+    gg, ge = p.gamma_g, p.gamma_e
+    t = np.asarray(t, dtype=float)
+    decay = np.exp(1j * t * (p.q_eg + 1j) * (ge + gg))
+    phase = np.exp(-0.5j * t * (gg * (2.0 * p.q_eg - p.q_gg) + 2.0 * p.stark_g))
+    b_g = (ge + gg * decay) * phase / (ge + gg)
+    b_e = math.sqrt(ge * gg) * (decay - 1.0) * phase / (ge + gg)
+    if t.ndim == 0:
+        return complex(b_g), complex(b_e)
+    return b_g, b_e
+
+
+def analytic_g1(p: Params, t):
+    """Closed-form (b_g, b_e, d_g) for c_g1(0) = 1; needs delta at trapping.
+
+    The bright pair is the b_g(0) = 1 solution scaled by 1/sqrt(2); the
+    dark amplitude keeps modulus 1/sqrt(2) and only rotates its phase.
+    """
+    b_g, b_e = analytic_bright(p, t)
+    t = np.asarray(t, dtype=float)
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    d_g = -np.exp(-0.5j * t * (2.0 * p.stark_g + p.gamma_g * p.q_gg)) * inv_sqrt2
+    if t.ndim == 0:
+        return b_g * inv_sqrt2, b_e * inv_sqrt2, complex(d_g)
+    return b_g * inv_sqrt2, b_e * inv_sqrt2, d_g
+
+
 @dataclass
 class DegeneracyReport:
-    """Degenerate versus split-level comparison for a set of splittings.
+    """Degenerate versus split-level comparison at the splittings of a Params.
 
-    For each entry of ``shifts`` the non-degenerate model is integrated
-    from g1 and compared against the degenerate model: trajectory
-    sup-differences, ionization histories, and the location of the
-    detuning-profile minimum (observed at the end of the time grid).
+    The non-degenerate model is integrated from g1 and compared against
+    the degenerate one: the trajectory sup-difference, the ionization
+    histories, and the location of the detuning-profile minimum (observed
+    at the time the trajectories have elapsed at the end of the grid).
     """
 
-    shifts: list[float]
     times: np.ndarray
     ionization_degenerate: np.ndarray
-    ionization_shifted: list[np.ndarray]
-    sup_state_diff: list[float]
+    ionization_shifted: np.ndarray
+    sup_state_diff: float
     profile_min_degenerate: float
-    profile_min_shifted: list[float]
+    profile_min_shifted: float
 
 
-def degeneracy_validity(p: Params, shifts, grid: TimeGrid, delta_grid, tol: float = 1e-10) -> DegeneracyReport:
-    """Quantify how intra-level splittings degrade the degenerate picture.
+def degeneracy_validity(p: Params, grid: TimeGrid, delta_grid, tol: float = 1e-10) -> DegeneracyReport:
+    """Quantify how the intra-level splittings of ``p`` degrade the
+    degenerate picture, against ``p`` with both splittings set to zero.
 
     Splittings slowly break the bright/dark decoupling, so trapped
     population leaks out; the report captures the leak rate and the
-    (small) displacement of the profile minima.  The comparison is
-    meaningful at any fixed detuning of ``p``; the trapping value is the
-    interesting choice.
+    (small) displacement of the profile minima.  ``p.shift_g`` and
+    ``p.shift_e`` are taken as they are and may differ.  The comparison
+    is meaningful at any fixed detuning of ``p``; the trapping value is
+    the interesting choice.
     """
-    shifts = [float(s) for s in shifts]
-    if any(s < 0 for s in shifts):
-        raise ValueError("shifts must be >= 0")
+    if p.shift_g < 0 or p.shift_e < 0:
+        raise ValueError(f"shifts must be >= 0, got shift_g = {p.shift_g}, shift_e = {p.shift_e}")
     deltas = np.asarray(delta_grid, dtype=float)
+    t_obs = grid.t_end - grid.t_start  # the time every trajectory has elapsed at its last sample
 
     p_deg = replace(p, shift_g=0.0, shift_e=0.0)
     deg_traj = evolve(p_deg, "four_state", "g1", grid)
-    deg_min = fano_scan(p_deg, deltas, grid.t_end, "g1", "four_state").min_delta
-
-    g1_state = State(Basis.ORIGINAL4, [1.0, 0.0, 0.0, 0.0])
-    ion_shifted: list[np.ndarray] = []
-    sup_diffs: list[float] = []
-    minima: list[float] = []
-    for shift in shifts:
-        p_nd = replace(p, shift_g=shift, shift_e=shift)
-        traj = integrate(nondegenerate_hamiltonian(p_nd), g1_state, grid, tol)
-        sup_diffs.append(float(np.abs(traj.amps - deg_traj.amps_original).max()))
-        ion_shifted.append(traj.ionization)
-        minima.append(fano_scan(p_nd, deltas, grid.t_end, "g1", "nondegenerate4").min_delta)
-
+    traj = integrate(nondegenerate_hamiltonian(p), State(Basis.ORIGINAL4, [1.0, 0.0, 0.0, 0.0]), grid, tol)
     return DegeneracyReport(
-        shifts=shifts,
         times=grid.times(),
         ionization_degenerate=deg_traj.ionization,
-        ionization_shifted=ion_shifted,
-        sup_state_diff=sup_diffs,
-        profile_min_degenerate=deg_min,
-        profile_min_shifted=minima,
+        ionization_shifted=traj.ionization,
+        sup_state_diff=float(np.abs(traj.amps - deg_traj.amps_original).max()),
+        profile_min_degenerate=fano_scan(p_deg, deltas, t_obs, "g1", "four_state").min_delta,
+        profile_min_shifted=fano_scan(p, deltas, t_obs, "g1", "nondegenerate4").min_delta,
     )

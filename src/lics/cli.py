@@ -143,8 +143,8 @@ def _parse_value(raw: str, lineno: int, key: str, kind: type):
 def parse_config(text: str) -> RunConfig:
     """Parse ``key = value`` configuration text into a RunConfig.
 
-    Reports malformed lines, unknown keys, bad numbers and missing
-    required keys by line number or key name.  ``delta = trap`` is
+    Reports malformed lines, unknown or repeated keys, bad numbers and
+    missing required keys by line number or key name.  ``delta = trap`` is
     resolved through the trapping condition once all physics keys are
     read.
     """
@@ -161,6 +161,8 @@ def parse_config(text: str) -> RunConfig:
         raw = raw.strip()
         if key not in KNOWN_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: repeated key {key!r}")
         if not raw:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
         if key == "delta":
@@ -281,19 +283,12 @@ def _columns(*columns: np.ndarray):
     return lambda rows: np.column_stack([c[rows] for c in columns])
 
 
-def _one_splitting(report: DegeneracyReport) -> np.ndarray:
-    """The shifted ionization history of a report of exactly one splitting."""
-    if len(report.shifts) != 1:
-        raise ValueError(f"expected a report of one splitting, got {len(report.shifts)}")
-    return report.ionization_shifted[0]
-
-
 def write_csv(data: Trajectory | FanoProfile | DegeneracyReport, path) -> None:
-    """Write a trajectory, detuning profile or one-splitting degeneracy
-    report as CSV (LF newlines), streamed in blocks of rows.  A trajectory
-    row holds the time, the real and imaginary parts of ``data.amps``
-    (2-state models fill the dark columns with zeros), the populations and
-    the ionization; a report row holds the time and both ionizations."""
+    """Write a trajectory, detuning profile or degeneracy report as CSV
+    (LF newlines), streamed in blocks of rows.  A trajectory row holds the
+    time, the real and imaginary parts of ``data.amps`` (2-state models
+    fill the dark columns with zeros), the populations and the ionization;
+    a report row holds the time and both ionizations."""
     if isinstance(data, Trajectory):
 
         def block(rows: slice) -> np.ndarray:
@@ -310,7 +305,7 @@ def write_csv(data: Trajectory | FanoProfile | DegeneracyReport, path) -> None:
             raise ValueError("cannot write an empty profile")
         _write_rows(path, PROFILE_HEADER, len(data.deltas), _columns(data.deltas, data.ionization))
     elif isinstance(data, DegeneracyReport):
-        columns = _columns(data.times, data.ionization_degenerate, _one_splitting(data))
+        columns = _columns(data.times, data.ionization_degenerate, data.ionization_shifted)
         _write_rows(path, "t,ionization_degenerate,ionization_shifted", len(data.times), columns)
     else:
         raise TypeError(f"cannot write {type(data).__name__} as CSV")
@@ -458,7 +453,7 @@ def _svg_line_plot(path, n: int, x: _Column, series: list[tuple[str, _Column]], 
 
 def render_svg(data: Trajectory | FanoProfile | DegeneracyReport, path) -> None:
     """Render a self-contained SVG line plot of a trajectory, profile or
-    one-splitting degeneracy report.
+    degeneracy report.
 
     Trajectories get one polyline per column of ``data.amps`` whose
     population is ever nonzero, named after ``data.basis``, plus the
@@ -478,7 +473,7 @@ def render_svg(data: Trajectory | FanoProfile | DegeneracyReport, path) -> None:
         series = [("ionization", _rows_of(data.ionization))]
         _svg_line_plot(path, len(data.deltas), _rows_of(data.deltas), series, "delta (1/T)")
     elif isinstance(data, DegeneracyReport):
-        series = [("degenerate", _rows_of(data.ionization_degenerate)), ("shifted", _rows_of(_one_splitting(data)))]
+        series = [("degenerate", _rows_of(data.ionization_degenerate)), ("shifted", _rows_of(data.ionization_shifted))]
         _svg_line_plot(path, len(data.times), _rows_of(data.times), series, "t / T")
     else:
         raise TypeError(f"cannot plot {type(data).__name__}")
@@ -553,13 +548,12 @@ def run(cfg: RunConfig) -> int:
     else:
         if cfg.params.shift_g != cfg.params.shift_e:
             raise ConfigError("command 'nondeg' expects shift_g == shift_e (one common splitting)")
-        shift = cfg.params.shift_g
         grid = TimeGrid(cfg.t_start, cfg.t_end, cfg.n_samples)
-        data = degeneracy_validity(cfg.params, [shift], grid, _resolve_delta_grid(cfg), cfg.tol)
+        data = degeneracy_validity(cfg.params, grid, _resolve_delta_grid(cfg), cfg.tol)
         summary = (
-            f"nondeg shift = {shift:g}: sup amplitude difference = {data.sup_state_diff[0]:.6f}; "
+            f"nondeg shift = {cfg.params.shift_g:g}: sup amplitude difference = {data.sup_state_diff:.6f}; "
             f"profile minima: degenerate {data.profile_min_degenerate:.6f}, "
-            f"shifted {data.profile_min_shifted[0]:.6f}"
+            f"shifted {data.profile_min_shifted:.6f}"
         )
     write_csv(data, out)
     if cfg.plot:

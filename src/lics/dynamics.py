@@ -1,7 +1,8 @@
-"""State propagation: eigensystem, matrix exponential, adaptive RK, closed forms.
+"""State propagation: eigensystem, matrix exponential and adaptive RK.
 
-Three independent routes compute the same constant-Hamiltonian evolution
-i dc/dt = H c:
+Two independent routes compute the same constant-Hamiltonian evolution
+i dc/dt = H c (the third, the closed form on the trapping manifold, is
+``analysis.analytic_bright`` and ``analytic_g1``):
 
 * the exact exponential.  ``evolve`` and ``_scan_ionization`` propagate
   ``four_state`` (as its bright block and dark diagonal, from
@@ -18,9 +19,7 @@ i dc/dt = H c:
 * ``integrate``: the embedded Dormand-Prince 8(5,3) Runge-Kutta solver
   (DOP853), stepping onto every output time, its twelve stages evaluated
   as one precomputed polynomial in step·M (M = -i h) per step, and the
-  steps cut short by dense samples taken in runs;
-* ``analytic_bright`` / ``analytic_g1``: closed-form amplitudes, valid
-  only when the detuning satisfies the trapping condition.
+  steps cut short by dense samples taken in runs.
 
 Agreement between the routes is the main correctness check of the
 package, so they share no propagation code: ``integrate`` precomputes
@@ -31,6 +30,7 @@ and never forms an exponential.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 
@@ -56,8 +56,6 @@ __all__ = [
     "model_eigenvalues",
     "propagate_expm",
     "integrate",
-    "analytic_bright",
-    "analytic_g1",
     "evolve",
     "build_hamiltonian",
     "MODELS",
@@ -121,7 +119,7 @@ class TimeGrid:
             raise ValueError("grid endpoints must be finite")
         if not self.t_end > self.t_start:
             raise ValueError(f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]")
-        if int(self.n_samples) != self.n_samples or self.n_samples < 2:
+        if not isinstance(self.n_samples, numbers.Integral) or self.n_samples < 2:
             raise ValueError(f"n_samples must be an integer >= 2, got {self.n_samples}")
         if self.n_samples > _MAX_GRID_POINTS:
             raise ValueError(f"n_samples must be at most {_MAX_GRID_POINTS}, got {self.n_samples}")
@@ -811,44 +809,6 @@ def integrate(h: CMatrix, s0: State, grid: TimeGrid, tol: float = 1e-10) -> Traj
         step = proposed
 
     return Trajectory(grid, s0.basis, amp_out, _ionization_values(amp_out))
-
-
-# ---------------------------------------------------------------------------
-# closed forms on the trapping manifold
-
-
-def analytic_bright(p: Params, t):
-    """Closed-form (b_g, b_e) for b_g(0) = 1; needs delta at trapping.
-
-    ``t`` may be a scalar or an array of times in T.
-    """
-    from .analysis import _require_trapping
-
-    _require_trapping(p, "closed form")
-    gg, ge = p.gamma_g, p.gamma_e
-    t = np.asarray(t, dtype=float)
-    decay = np.exp(1j * t * (p.q_eg + 1j) * (ge + gg))
-    phase = np.exp(-0.5j * t * (gg * (2.0 * p.q_eg - p.q_gg) + 2.0 * p.stark_g))
-    b_g = (ge + gg * decay) * phase / (ge + gg)
-    b_e = math.sqrt(ge * gg) * (decay - 1.0) * phase / (ge + gg)
-    if t.ndim == 0:
-        return complex(b_g), complex(b_e)
-    return b_g, b_e
-
-
-def analytic_g1(p: Params, t):
-    """Closed-form (b_g, b_e, d_g) for c_g1(0) = 1; needs delta at trapping.
-
-    The bright pair is the b_g(0) = 1 solution scaled by 1/sqrt(2); the
-    dark amplitude keeps modulus 1/sqrt(2) and only rotates its phase.
-    """
-    b_g, b_e = analytic_bright(p, t)
-    t = np.asarray(t, dtype=float)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    d_g = -np.exp(-0.5j * t * (2.0 * p.stark_g + p.gamma_g * p.q_gg)) * inv_sqrt2
-    if t.ndim == 0:
-        return b_g * inv_sqrt2, b_e * inv_sqrt2, complex(d_g)
-    return b_g * inv_sqrt2, b_e * inv_sqrt2, d_g
 
 
 # ---------------------------------------------------------------------------

@@ -153,18 +153,19 @@ def test_criterion_5c_two_level_minimum_mismatch(detuning_scans):
 
 def test_criterion_6_level_splitting_study():
     with _Criterion("6 level-splitting comparison") as c:
-        base = Params(**WEAK)
-        p = Params(**WEAK, delta=trapping_delta(base))
+        delta = trapping_delta(Params(**WEAK))
         grid = TimeGrid(0.0, 10.0, 201)
         # 801 detuning points resolve the profile minima to 0.025/T,
         # twenty times finer than the 0.5/T comparison tolerance
-        report = degeneracy_validity(
-            p, [1e-6, 0.2], grid, np.linspace(-10.0, 10.0, 801), tol=1e-10
+        deltas = np.linspace(-10.0, 10.0, 801)
+        tiny, split = (
+            degeneracy_validity(Params(**WEAK, delta=delta, shift_g=shift, shift_e=shift), grid, deltas, tol=1e-10)
+            for shift in (1e-6, 0.2)
         )
-        tail = report.times >= 5.0
-        assert np.all(report.ionization_shifted[1][tail] > report.ionization_degenerate[tail])
-        assert report.sup_state_diff[0] < 1e-4
-        assert abs(report.profile_min_shifted[1] - report.profile_min_degenerate) <= 0.5
+        tail = split.times >= 5.0
+        assert np.all(split.ionization_shifted[tail] > split.ionization_degenerate[tail])
+        assert tiny.sup_state_diff < 1e-4
+        assert abs(split.profile_min_shifted - split.profile_min_degenerate) <= 0.5
         assert c.elapsed < 10.0
 
 

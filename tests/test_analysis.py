@@ -187,12 +187,6 @@ class TestFanoScan:
         assert profile.ionization[0] > 0.99
         assert profile.ionization[-1] > 0.99
 
-    def test_profile_metadata(self, strong_params):
-        profile = fano_scan(strong_params, [0.0, 1.0], 2.0, "g1", "four_state")
-        assert profile.observation_time == 2.0
-        assert profile.model == "four_state"
-        assert profile.init == "g1"
-
 
 class TestScanKernel:
     """The blocked eigen kernel behind ``fano_scan`` against per-point
@@ -409,35 +403,62 @@ class TestAsymptoticSurvival:
             assert abs(survival - limit) < np.exp(-2.0 * t_end * total) + 1e-9
 
 
+def _split(p: Params, shift: float) -> Params:
+    """``p`` at its trapping detuning with one common splitting in both levels."""
+    return _at_trap(dataclasses.replace(p, shift_g=shift, shift_e=shift))
+
+
 class TestDegeneracyValidity:
     def test_zero_shift_is_identical(self, weak_params):
-        p = _at_trap(weak_params)
         report = degeneracy_validity(
-            p, [0.0], TimeGrid(0.0, 5.0, 41), np.linspace(-3.0, 1.0, 41), tol=1e-12
+            _split(weak_params, 0.0), TimeGrid(0.0, 5.0, 41), np.linspace(-3.0, 1.0, 41), tol=1e-12
         )
-        assert report.sup_state_diff[0] < 1e-10
+        assert report.sup_state_diff < 1e-10
 
     def test_splitting_increases_ionization_late(self, weak_params):
-        p = _at_trap(weak_params)
         grid = TimeGrid(0.0, 10.0, 101)
-        report = degeneracy_validity(p, [0.2], grid, np.linspace(-3.0, 1.0, 81))
+        report = degeneracy_validity(_split(weak_params, 0.2), grid, np.linspace(-3.0, 1.0, 81))
         tail = report.times >= 5.0
-        assert np.all(report.ionization_shifted[0][tail] > report.ionization_degenerate[tail])
+        assert np.all(report.ionization_shifted[tail] > report.ionization_degenerate[tail])
 
     def test_difference_vanishes_with_the_shift(self, weak_params):
-        p = _at_trap(weak_params)
         grid = TimeGrid(0.0, 10.0, 51)
-        report = degeneracy_validity(p, [1e-6, 1e-2, 0.2], grid, np.linspace(-3.0, 1.0, 21))
-        assert report.sup_state_diff[0] < 1e-4
-        assert report.sup_state_diff[0] < report.sup_state_diff[1] < report.sup_state_diff[2]
+        diffs = [
+            degeneracy_validity(_split(weak_params, shift), grid, np.linspace(-3.0, 1.0, 21)).sup_state_diff
+            for shift in (1e-6, 1e-2, 0.2)
+        ]
+        assert diffs[0] < 1e-4
+        assert diffs[0] < diffs[1] < diffs[2]
 
     def test_profile_minima_stay_close(self, weak_params):
-        p = _at_trap(weak_params)
         report = degeneracy_validity(
-            p, [0.2], TimeGrid(0.0, 10.0, 51), np.linspace(-5.0, 3.0, 321)
+            _split(weak_params, 0.2), TimeGrid(0.0, 10.0, 51), np.linspace(-5.0, 3.0, 321)
         )
-        assert abs(report.profile_min_shifted[0] - report.profile_min_degenerate) < 0.5
+        assert abs(report.profile_min_shifted - report.profile_min_degenerate) < 0.5
+
+    def test_unequal_shifts_are_taken_from_params(self, weak_params):
+        p = dataclasses.replace(_at_trap(weak_params), shift_g=0.2, shift_e=0.05)
+        grid = TimeGrid(0.0, 4.0, 21)
+        deltas = np.linspace(-3.0, 1.0, 41)
+        report = degeneracy_validity(p, grid, deltas, tol=1e-9)
+        g1 = State(Basis.ORIGINAL4, [1.0, 0.0, 0.0, 0.0])
+        shifted = integrate(build_hamiltonian(p, "nondegenerate4"), g1, grid, 1e-9)
+        assert np.array_equal(report.ionization_shifted, shifted.ionization)
+        assert report.profile_min_shifted == fano_scan(p, deltas, 4.0, "g1", "nondegenerate4").min_delta
+
+    def test_profiles_are_observed_at_the_elapsed_time(self, weak_params):
+        """The trajectories of a grid over [2, 4] have run for 2 T at its
+        last sample, and so have the profiles: at t_obs = 4 both minima
+        of this scan lie 0.45-0.4 further right."""
+        p = _split(weak_params, 0.2)
+        deltas = np.linspace(-3.0, 1.0, 81)
+        report = degeneracy_validity(p, TimeGrid(2.0, 4.0, 21), deltas)
+        degenerate = dataclasses.replace(p, shift_g=0.0, shift_e=0.0)
+        assert report.profile_min_degenerate == fano_scan(degenerate, deltas, 2.0, "g1", "four_state").min_delta
+        assert report.profile_min_shifted == fano_scan(p, deltas, 2.0, "g1", "nondegenerate4").min_delta
+        assert report.profile_min_degenerate != fano_scan(degenerate, deltas, 4.0, "g1", "four_state").min_delta
 
     def test_negative_shift_rejected(self, weak_params):
-        with pytest.raises(ValueError):
-            degeneracy_validity(weak_params, [-0.1], TimeGrid(0.0, 1.0, 5), [0.0, 1.0])
+        for shifts in (dict(shift_g=-0.1), dict(shift_e=-0.1)):
+            with pytest.raises(ValueError, match="shifts must be >= 0"):
+                degeneracy_validity(dataclasses.replace(weak_params, **shifts), TimeGrid(0.0, 1.0, 5), [0.0, 1.0])

@@ -256,9 +256,7 @@ class TestWriteCsv:
         assert row[5] == "0" and row[7] == "0"  # re_dg, re_de
 
     def test_profile_schema(self, tmp_path, strong_params):
-        profile = FanoProfile(
-            np.array([0.0, 0.5]), np.array([0.25, 0.5]), 6.0, "four_state", "g1"
-        )
+        profile = FanoProfile(np.array([0.0, 0.5]), np.array([0.25, 0.5]))
         path = tmp_path / "prof.csv"
         write_csv(profile, path)
         lines = path.read_text().splitlines()
@@ -276,24 +274,6 @@ class TestWriteCsv:
             assert float(row[1]) == amps[k, 0].real
             assert float(row[2]) == amps[k, 0].imag
             assert float(row[13]) == traj.ionization[k]
-
-    @pytest.mark.parametrize("writer", [write_csv, render_svg])
-    @pytest.mark.parametrize("n_shifts", [0, 2])
-    def test_report_needs_exactly_one_splitting(self, tmp_path, writer, n_shifts):
-        times = np.linspace(0.0, 1.0, 3)
-        report = DegeneracyReport(
-            shifts=[0.1 * (k + 1) for k in range(n_shifts)],
-            times=times,
-            ionization_degenerate=times / 2,
-            ionization_shifted=[times / 2 + 0.1 * k for k in range(n_shifts)],
-            sup_state_diff=[0.0] * n_shifts,
-            profile_min_degenerate=0.0,
-            profile_min_shifted=[0.0] * n_shifts,
-        )
-        path = tmp_path / "report.out"
-        with pytest.raises(ValueError, match="one splitting"):
-            writer(report, path)
-        assert not path.exists()
 
     def test_lf_newlines(self, tmp_path, strong_params):
         traj = evolve(strong_params, "bright2", "bright", TimeGrid(0.0, 1.0, 3))
@@ -321,7 +301,7 @@ class TestRenderSvg:
             data = fano_scan(strong_params, np.linspace(-10.0, 10.0, 2001), 6.0)
         else:
             q = dataclasses.replace(weak_params, shift_g=0.2, shift_e=0.2)
-            data = degeneracy_validity(q, [0.2], TimeGrid(0.0, 10.0, 51), np.linspace(-3.0, 1.0, 41), 1e-9)
+            data = degeneracy_validity(q, TimeGrid(0.0, 10.0, 51), np.linspace(-3.0, 1.0, 41), 1e-9)
         render_svg(data, tmp_path / "array.svg")
         monkeypatch.setattr(cli, "f2_points", _per_pair_points)
         render_svg(data, tmp_path / "pairs.svg")
@@ -346,9 +326,7 @@ class TestRenderSvg:
         assert len(polylines) == 4  # bg, be, constant dark, ionization
 
     def test_profile_plot(self, tmp_path):
-        profile = FanoProfile(
-            np.linspace(-1, 1, 21), np.linspace(0.2, 0.8, 21), 6.0, "four_state", "g1"
-        )
+        profile = FanoProfile(np.linspace(-1, 1, 21), np.linspace(0.2, 0.8, 21))
         path = tmp_path / "prof.svg"
         render_svg(profile, path)
         root = ET.fromstring(path.read_text())
@@ -394,12 +372,12 @@ class TestRenderSvg:
     def test_a_profile_of_lists(self, tmp_path):
         """Held columns are taken as float arrays, as the CSV writer takes them."""
         path = tmp_path / "lists.svg"
-        render_svg(FanoProfile([-1.0, 0.0, 1.0], [0.1, 0.5, 0.2], 6.0, "four_state", "g1"), path)
+        render_svg(FanoProfile([-1.0, 0.0, 1.0], [0.1, 0.5, 0.2]), path)
         polyline = ET.parse(path).getroot().find("{http://www.w3.org/2000/svg}polyline")
         assert [point.split(",")[0] for point in polyline.get("points").split()] == ["64.00", "328.00", "592.00"]
 
     def test_empty_data_writes_nothing(self, tmp_path):
-        profile = FanoProfile(np.array([]), np.array([]), 6.0, "four_state", "g1")
+        profile = FanoProfile(np.array([]), np.array([]))
         path = tmp_path / "empty.svg"
         with pytest.raises(ValueError):
             render_svg(profile, path)
@@ -503,6 +481,14 @@ class TestRun:
         assert len(lines) == 52
         last = lines[-1].split(",")
         assert float(last[2]) > float(last[1])  # splitting raises the loss
+
+    def test_nondeg_on_negative_times(self, tmp_path):
+        """The profiles are observed at the 1 T the trajectories have run,
+        not at t_end = -1, which no scan accepts."""
+        out = tmp_path / "neg.csv"
+        text = _cfg_text("nondeg", t_start=-2, t_end=-1, n_samples=11, delta_steps=21, out=out)
+        assert run(parse_config(text)) == 0
+        assert out.read_text().splitlines()[1].startswith("-2,")
 
     def test_missing_out_for_data_commands(self):
         with pytest.raises(ConfigError, match="out"):
@@ -643,12 +629,16 @@ class TestMain:
 
 
 def _empty_profile() -> FanoProfile:
-    return FanoProfile(np.array([]), np.array([]), 6.0, "four_state", "g1")
+    return FanoProfile(np.array([]), np.array([]))
 
 
 def _run_config(command: str, out: str = "x.csv", **extra):
     """A call that runs a configuration writing to ``out`` in a given directory."""
     return lambda tmp: run(parse_config(_cfg_text(command, out=tmp / out, **extra)))
+
+
+# a configuration that a repeated key is appended to
+_REPEATED = "command = trap\ngamma_g = 1\ngamma_e = 2\n"
 
 
 class TestRejections:
@@ -670,6 +660,18 @@ class TestRejections:
                 "unknown command 'scan'",
             ),
             (_run_config("nondeg", shift_g=0.2, shift_e=0.1), ConfigError, "shift_g == shift_e"),
+            (lambda tmp: parse_config(_REPEATED + "gamma_g = 5\n"), ConfigError, "line 4: repeated key 'gamma_g'"),
+            # delta = trap sets delta as any value does
+            (
+                lambda tmp: parse_config(_REPEATED + "delta = trap\ndelta = 0.5\n"),
+                ConfigError,
+                "line 5: repeated key 'delta'",
+            ),
+            (
+                lambda tmp: parse_config(_REPEATED + "delta = 0.5\ndelta = trap\n"),
+                ConfigError,
+                "^line 5: repeated key 'delta'$",
+            ),
             # the plot goes to the out path with the suffix .svg, which would be the CSV itself
             (_run_config("evolve", "x.svg", n_samples=11, plot="true"), ConfigError, "out '.*x.svg'"),
             (_run_config("fano", "x.SVG", delta_steps=11, plot="true"), ConfigError, "out '.*x.SVG'"),
@@ -809,7 +811,7 @@ class TestDegenerateAxes:
     def test_an_overflowing_x_span(self, tmp_path):
         """xmax - xmin = inf: both ends still land on the plot's edges."""
         path = tmp_path / "wide.svg"
-        profile = FanoProfile(np.array([-1e308, 1e308]), np.array([0.1, 0.9]), 6.0, "four_state", "g1")
+        profile = FanoProfile(np.array([-1e308, 1e308]), np.array([0.1, 0.9]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             render_svg(profile, path)

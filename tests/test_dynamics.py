@@ -197,6 +197,11 @@ class TestTimeGrid:
             TimeGrid(0.0, float("inf"), 10)
         with pytest.raises(ValueError, match=r"grid step .* got inf"):  # linspace: [nan, inf, inf, inf, 1e308]
             TimeGrid(-1e308, 1e308, 5)
+        # an integral float passed int(n) == n, and then failed in times()
+        for n in (3.0, np.float64(3)):
+            with pytest.raises(ValueError, match="n_samples must be an integer >= 2"):
+                TimeGrid(0.0, 1.0, n)
+        assert TimeGrid(0.0, 1.0, np.int64(3)).times().tolist() == [0.0, 0.5, 1.0]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -405,10 +410,12 @@ class TestModelEigenvalues:
     """``model_eigenvalues``: the closed-form pair of each block model."""
 
     @pytest.mark.parametrize("model", ["four_state", "bright2", "twolevel2"])
-    @pytest.mark.parametrize("delta", [1e20, 1e100])
+    @pytest.mark.parametrize("delta", [1e20, 1e100, 1e200])
     def test_far_detuned_against_mpmath(self, strong_params, model, delta):
         """Both parts of every eigenvalue to 1e-12 relative, where LAPACK
-        loses the decay rates (its absolute error is eps·delta)."""
+        loses the decay rates (its absolute error is eps·delta).  At 1e200,
+        h*h + bc in ``_mean_and_root`` overflows, and that branch must be
+        the one discarded."""
         p = dataclasses.replace(strong_params, delta=delta)
         values = model_eigenvalues(p, model)
         assert np.array_equal(values, _sorted(values))
