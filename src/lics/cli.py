@@ -227,11 +227,15 @@ _CSV_CELLS = 1 << 14
 def _replacing(path) -> Iterator[BinaryIO]:
     """A binary file to write instead of ``path``.  The file that ``path``
     resolves to through any symlinks, if it is regular or does not exist,
-    is written under a hidden temporary name in its directory, with the
-    old file's mode and, where allowed, owner, and replaced whole once
-    the temporary is complete; on any exception, an interrupt too, the
-    temporary is removed and the file is left as it was.  Anything else,
-    a device or a FIFO, is written in place."""
+    is written under a hidden temporary name in its directory, created
+    afresh (an entry already at that name is removed, never written
+    through), with the old file's mode and, where allowed, owner.  Once
+    the temporary is complete the old file is removed and the temporary
+    renamed to it: a rename over a file would make ext4 write the new one
+    out first.  On any exception, an interrupt too, the temporary is
+    removed; before the rename the old file is left as it was, and between
+    its removal and the rename the path holds no file.  Anything else, a
+    device or a FIFO, is written in place."""
     try:
         old = os.stat(path)
     except OSError:  # missing, or unreachable: opening the temporary reports it
@@ -243,13 +247,19 @@ def _replacing(path) -> Iterator[BinaryIO]:
     # a link stays: the file it points to is replaced
     target = os.path.realpath(path) if os.path.islink(path) else os.fspath(path)
     head, name = os.path.split(target)
-    part = os.path.join(head, f".{name}.{os.getpid()}.part")
+    # 50 characters take at most 200 bytes, so the name fits within NAME_MAX (255)
+    part = os.path.join(head, f".{name[:50]}.{os.getpid()}.part")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
     try:
-        f = open(part, "wb")
+        try:
+            fd = os.open(part, flags, 0o666)
+        except FileExistsError:  # left by an earlier process, or planted there
+            os.unlink(part)
+            fd = os.open(part, flags, 0o666)
     except OSError as exc:  # an error names the output, not its temporary
         raise type(exc)(exc.errno, exc.strerror, str(path)) from None
     try:
-        with f:
+        with open(fd, "wb") as f:
             if old is not None:  # each call writes the inode, so only where it differs
                 new = os.fstat(f.fileno())
                 if (new.st_uid, new.st_gid) != (old.st_uid, old.st_gid):
@@ -258,6 +268,9 @@ def _replacing(path) -> Iterator[BinaryIO]:
                 if stat.S_IMODE(new.st_mode) != stat.S_IMODE(old.st_mode):
                     os.fchmod(f.fileno(), stat.S_IMODE(old.st_mode))
             yield f
+        if old is not None:
+            with suppress(FileNotFoundError):
+                os.unlink(target)
         os.replace(part, target)
     except BaseException:
         Path(part).unlink(missing_ok=True)
@@ -562,24 +575,32 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="lics",
-        description="Multilevel laser-induced continuum structure: evolution, trapping and detuning scans.",
-    )
-    parser.add_argument("config", help="path to a 'key = value' run configuration file")
-    parser.add_argument("--out", help="output path, overrides the config")
-    parser.add_argument("--plot", action="store_true", help="also write an SVG plot")
-    parser.add_argument("--tol", type=float, help="integration tolerance, overrides the config")
-    args = parser.parse_args(argv)
+_PARSER = argparse.ArgumentParser(
+    prog="lics",
+    description="Multilevel laser-induced continuum structure: evolution, trapping and detuning scans.",
+)
+_PARSER.add_argument("config", help="path to a 'key = value' run configuration file")
+_PARSER.add_argument("--out", help="output path, overrides the config")
+_PARSER.add_argument("--plot", action="store_true", help="also write an SVG plot")
+_PARSER.add_argument("--tol", type=float, help="integration tolerance, overrides the config")
 
+# the largest config read; the shipped ones take under 500 bytes
+_MAX_CONFIG_BYTES = 1 << 16
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
-        text = Path(args.config).read_text()
+        with open(args.config, "rb") as f:
+            raw = f.read(_MAX_CONFIG_BYTES + 1)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
+    if len(raw) > _MAX_CONFIG_BYTES:
+        print(f"error: config {args.config} is larger than {_MAX_CONFIG_BYTES} bytes", file=sys.stderr)
+        return 1
     try:
-        cfg = parse_config(text)
+        cfg = parse_config(raw.decode())
         if args.out is not None:
             cfg = replace(cfg, out=args.out)
         if args.plot:

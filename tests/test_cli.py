@@ -608,6 +608,42 @@ class TestMain:
         assert main(["/nonexistent/path.conf"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra,code", [(0, 0), (1, 1)])
+    def test_config_size_limit(self, tmp_path, capsys, extra, code):
+        """A config of the limit runs; one byte over it is an error, and nothing is written."""
+        config = tmp_path / "run.conf"
+        text = _cfg_text("fano", delta_steps=11, out=tmp_path / "x.csv")
+        config.write_text(text + "#" * (cli._MAX_CONFIG_BYTES + extra - len(text) - 1) + "\n")
+        assert main([str(config)]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else f"error: config {config} is larger than 65536 bytes\n")
+        assert (tmp_path / "x.csv").exists() == (code == 0)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_an_endless_config_is_an_error_line(self, capsys):
+        assert main(["/dev/zero"]) == 1
+        assert capsys.readouterr().err == "error: config /dev/zero is larger than 65536 bytes\n"
+
+    def test_a_config_that_is_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"command = trap\n\xff\n")
+        assert main([str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+    def test_the_parser_is_built_once(self, tmp_path, monkeypatch, capsys):
+        def no_parser(*args, **kwargs):
+            raise AssertionError("an ArgumentParser built per call")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", no_parser)
+        config = tmp_path / "run.conf"
+        config.write_text(_cfg_text("trap"))
+        assert main([str(config)]) == 0
+        assert capsys.readouterr().out == "trapping delta = 0.809000\n"
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: lics [-h] [--out OUT] [--plot] [--tol TOL] config\n")
+
     def test_invalid_config_reports_error(self, tmp_path, capsys):
         config = tmp_path / "bad.conf"
         config.write_text("gamma_g = -2\ngamma_e = 1\ncommand = trap\n")
@@ -775,6 +811,69 @@ class TestWholeOutputs:
         assert main([str(config)]) == 0
         assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
         assert not [name for name in os.listdir("/dev") if name.startswith(".null.")]
+
+    def test_the_old_output_is_removed_before_the_rename(self, tmp_path, monkeypatch):
+        """A rename over a file would make ext4 write the new file out first."""
+        self._evolve(tmp_path, 201)
+        replace, renamed = os.replace, []
+
+        def replace_onto_nothing(src, dst):
+            assert not os.path.lexists(dst), f"{dst} still exists"
+            renamed.append(os.path.basename(dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", replace_onto_nothing)
+        self._evolve(tmp_path, 401)
+        assert renamed == ["run.csv", "run.svg"]
+        assert len((tmp_path / "run.csv").read_text().splitlines()) == 402
+
+    def test_a_hard_link_keeps_the_old_bytes(self, tmp_path):
+        self._evolve(tmp_path, 201)
+        old = (tmp_path / "run.csv").read_bytes()
+        os.link(tmp_path / "run.csv", tmp_path / "kept.csv")
+        self._evolve(tmp_path, 401)
+        assert (tmp_path / "kept.csv").read_bytes() == old
+        assert len((tmp_path / "run.csv").read_text().splitlines()) == 402
+
+    def test_a_failed_rename_leaves_no_temporary(self, tmp_path, monkeypatch):
+        """Between the removal and the rename the path holds no file: the
+        previous file or none, never a cut one."""
+        self._evolve(tmp_path, 201)
+
+        def failing_replace(*args):
+            raise OSError(5, "rename failed")
+
+        monkeypatch.setattr(cli.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            self._evolve(tmp_path, 401)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run.svg"]
+
+    def test_a_first_write_removes_nothing(self, tmp_path, monkeypatch):
+        unlinked = []
+        monkeypatch.setattr(cli.os, "unlink", unlinked.append)
+        self._evolve(tmp_path, 201)
+        assert unlinked == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run.csv", "run.svg"]
+
+    def test_an_output_name_of_249_bytes(self, tmp_path):
+        """The temporary's name fits in 255 bytes whenever the output's does."""
+        out = tmp_path / ("a" * 245 + ".csv")
+        run(parse_config(_cfg_text("fano", delta_steps=11, out=out, plot="true")))
+        assert sorted(path.name for path in tmp_path.iterdir()) == [out.name, out.with_suffix(".svg").name]
+
+    @pytest.mark.parametrize("planted", ["symlink", "file"])
+    def test_an_entry_at_the_temporary_name_is_not_written_through(self, tmp_path, planted):
+        (tmp_path / "victim").write_text("victim\n")
+        part = tmp_path / f".run.csv.{os.getpid()}.part"
+        if planted == "symlink":
+            part.symlink_to("victim")
+        else:
+            os.link(tmp_path / "victim", part)
+        self._evolve(tmp_path, 201)
+        assert (tmp_path / "victim").read_text() == "victim\n"
+        assert not (tmp_path / "run.csv").is_symlink()
+        assert len((tmp_path / "run.csv").read_text().splitlines()) == 202
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run.csv", "run.svg", "victim"]
 
     def test_a_missing_directory_names_the_output(self, tmp_path, capsys):
         config = tmp_path / "run.conf"

@@ -1,8 +1,9 @@
-"""The fuzz scripts and the memory probe, run briefly so that they keep
-working as the code they exercise changes.  Each runs in its own
-interpreter: fuzz_integrate.py rebinds functions of lics.dynamics for the
-rest of its process."""
+"""The fuzz scripts and the memory and layer probes, run briefly so that
+they keep working as the code they exercise changes.  Each runs in its
+own interpreter: fuzz_integrate.py rebinds functions of lics.dynamics for
+the rest of its process."""
 
+import json
 import os
 import subprocess
 import sys
@@ -14,10 +15,10 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
 
-def _run_script(script: str, n: int) -> subprocess.CompletedProcess:
+def _run_script(script: str, *args: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(TESTS / script), "-n", str(n)],
+        [sys.executable, str(TESTS / script), *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -27,11 +28,24 @@ def _run_script(script: str, n: int) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize("script,n", [("fuzz_formatters.py", 20000), ("fuzz_integrate.py", 10)])
 def test_fuzz_script_finds_no_mismatch(script, n):
-    done = _run_script(script, n)
+    done = _run_script(script, "-n", str(n))
     assert done.returncode == 0, done.stdout + done.stderr
     assert " 0 mismatches" in done.stdout
 
 
 def test_memory_probe_runs():
-    done = _run_script("probe_memory.py", 2001)
+    done = _run_script("probe_memory.py", "-n", "2001")
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_layer_probe_runs(tmp_path):
+    """One pair of processes on small shapes, this tree against itself."""
+    done = _run_script("probe_layers.py", "--small", "--pairs", "1", "--repeat", "1", "--base", str(SRC.parent),
+                       "--dir", str(tmp_path))
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    assert {"cli.write_csv[trajectory,fresh]", "cli.render_svg[profile,over]", "dynamics.integrate"} <= {
+        line["layer"] for line in lines
+    }
+    assert all(line["pairs"] == 1 and line["ratio"] > 0 for line in lines)
+    assert list(tmp_path.iterdir()) == []
