@@ -111,18 +111,18 @@ def fano_scan(p: Params, delta_grid, t_obs: float, init="bright", model: str = "
     """Ionization at time ``t_obs`` for every detuning in ``delta_grid``.
 
     Every value equals ``evolve(...).ionization[-1]`` at that detuning
-    bit for bit.  ``four_state``, ``bright2`` and ``twolevel2`` run all
-    detunings at once through the closed-form 2x2 block kernel of
-    ``evolve``, exact also at an exceptional point and at detunings far
-    beyond the decay rates.  ``nondegenerate4`` is propagated in blocks,
-    each through one stacked ``eigensystem`` call and the kernel of
-    ``propagate_expm``; its points where those eigenpairs are not
+    bit for bit: the scan runs the one amplitude kernel of ``evolve`` over
+    2048 detunings per call.  ``four_state``, ``bright2`` and
+    ``twolevel2`` take the closed-form 2x2 block kernel, exact also at an
+    exceptional point and at detunings far beyond the decay rates.
+    ``nondegenerate4`` takes one stacked ``eigensystem`` call and the
+    kernel of ``propagate_expm``, where a matrix whose eigenpairs are not
     trusted (a defective root, as at an exceptional point, or
-    ill-conditioned eigenvectors) are run one by one by ``evolve``, with
-    its Pade fallback.  A point whose result is not finite or gains norm
-    is rerun by ``evolve`` and its norm check.  Results are reported in
-    grid order; a point whose propagation fails raises RuntimeError
-    naming its detuning.
+    ill-conditioned eigenvectors) gets its Pade exponential in place.  A
+    point whose result is not finite or gains norm, or that lies in a
+    call that raised, is rerun by ``evolve`` and its checks.  Results are
+    reported in grid order; a point whose propagation fails raises
+    RuntimeError naming its detuning.
     """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size == 0:

@@ -47,11 +47,13 @@ from .dynamics import (
     MODELS,
     TimeGrid,
     Trajectory,
+    _map_rows,
     evolve,
     model_eigenvalues,
 )
 from ._text import _F2_CHUNK, f2_points, g17_rows
 from .model import Params
+from .transforms import _BRIGHT_DARK_MAP, Basis
 
 __all__ = [
     "ConfigError",
@@ -299,13 +301,18 @@ def _columns(*columns: np.ndarray):
 def write_csv(data: Trajectory | FanoProfile | DegeneracyReport, path) -> None:
     """Write a trajectory, detuning profile or degeneracy report as CSV
     (LF newlines), streamed in blocks of rows.  A trajectory row holds the
-    time, the real and imaginary parts of ``data.amps`` (2-state models
-    fill the dark columns with zeros), the populations and the ionization;
-    a report row holds the time and both ionizations."""
+    time, the real and imaginary parts of the amplitudes in the bright/dark
+    basis (an original-basis trajectory is mapped onto it, block by block,
+    into a fresh array; 2-state models fill the dark columns with zeros),
+    the populations and the ionization; a report row holds the time and
+    both ionizations."""
     if isinstance(data, Trajectory):
 
         def block(rows: slice) -> np.ndarray:
             amps = np.ascontiguousarray(data.amps[rows])
+            if data.basis is Basis.ORIGINAL4:
+                # amps may be a view of data.amps: never map it in place
+                amps = _map_rows(_BRIGHT_DARK_MAP, amps, np.empty_like(amps))
             if amps.shape[1] == 2:
                 amps = np.hstack([amps, np.zeros_like(amps)])
             # hypot (Python's abs) and libm's pow keep the digits stable: np.abs and x * x differ in the last bit
@@ -390,20 +397,26 @@ def _svg_line_plot(path, n: int, x: _Column, series: list[tuple[str, _Column]], 
     ymax = max(hi for _, hi in ranges)
     if ymax <= ymin:
         ymax = ymin + 1.0
-    ymax += 0.05 * (ymax - ymin)
 
     plot_w = _WIDTH - _ML - _MR
     plot_h = _HEIGHT - _MT - _MB
 
-    # an x span that overflows is taken at half scale, on both sides of the division
+    # a span that overflows is taken at half scale, on both sides of the
+    # division; so is the y span if its 5 % headroom above the top overflows
     scale = 0.5 if xmax - xmin == np.inf else 1.0
     x0, width = scale * xmin, scale * xmax - scale * xmin
+    yscale = 1.0 if ymax + 0.05 * (ymax - ymin) < np.inf else 0.5
+    y0, y1 = yscale * ymin, yscale * ymax
+    y1 += 0.05 * (y1 - y0)
+    height = y1 - y0
+    # the padded top, for the ticks; at half scale it can pass the largest double
+    ymax = min(y1 / yscale, sys.float_info.max)
 
     def px(v: float) -> float:
         return _ML + (scale * v - x0) / width * plot_w
 
     def py(v: float) -> float:
-        return _MT + (ymax - v) / (ymax - ymin) * plot_h
+        return _MT + (y1 - yscale * v) / height * plot_h
 
     with _replacing(path) as f:
 

@@ -4,18 +4,17 @@ Two independent routes compute the same constant-Hamiltonian evolution
 i dc/dt = H c (the third, the closed form on the trapping manifold, is
 ``analysis.analytic_bright`` and ``analytic_g1``):
 
-* the exact exponential.  ``evolve`` and ``_scan_ionization`` propagate
+* the exact exponential, reached through one function, ``_model_amps``,
+  by ``evolve`` at one detuning and by ``_scan_ionization`` at many.
   ``four_state`` (as its bright block and dark diagonal, from
-  ``transforms.block_diagonalize``), ``bright2`` and ``twolevel2``
-  through one eigenvector-free closed form for a 2x2 block,
-  ``_block_amps``, over a whole detuning scan at once.
-  ``propagate_expm`` exponentiates any matrix through an
-  eigen-decomposition whose eigenpairs come from LAPACK, with a
-  scaling-and-squaring Pade fallback where their eigenvector condition
-  number exceeds 1e6, as near an exceptional point, or their residual is
-  large; it is the oracle of the closed form and the route of
-  ``nondegenerate4``, whose scan runs the same ``eigensystem`` and
-  kernel on stacks of matrices and gets the same bits;
+  ``transforms.block_diagonalize``), ``bright2`` and ``twolevel2`` take
+  one eigenvector-free closed form for a 2x2 block, ``_block_amps``.
+  ``nondegenerate4``, whose split levels do not decouple, takes
+  ``_expm_amps``: one stacked ``eigensystem`` call whose eigenpairs come
+  from LAPACK, and a scaling-and-squaring Pade exponential for every
+  matrix whose eigenvector condition number exceeds 1e6, as near an
+  exceptional point, or whose residual is large.  ``propagate_expm``,
+  the oracle of the closed form, is ``_expm_amps`` on a stack of one;
 * ``integrate``: the embedded Dormand-Prince 8(5,3) Runge-Kutta solver
   (DOP853), stepping onto every output time, its twelve stages evaluated
   as one precomputed polynomial in step·M (M = -i h) per step, and the
@@ -79,12 +78,7 @@ _MAX_GRID_POINTS = 10**6
 # maps: no vector's bits depend on the chunk, and a chunk's temporaries take
 # a few hundred KB, so a stage holds little more than its result
 _CHUNK = 1 << 11
-# detunings per stacked LAPACK call in a nondegenerate4 scan, so that the
-# 201 detunings of a nondeg run are one call: a block's temporaries take
-# about 1.4 KB per detuning (360 KB for a whole block), and each block
-# costs about 90 us of Python overhead on top of its eigen-decompositions
-_SCAN_BLOCK = 256
-# the models that _block_amps propagates; nondegenerate4 does not split
+# the models that _block_amps propagates; nondegenerate4 takes _expm_amps
 _BLOCK_MODELS = ("four_state", "bright2", "twolevel2")
 # four_state is propagated as its bright block and its dark diagonal only
 # if block_diagonalize leaves every other entry below this, relative to
@@ -313,27 +307,32 @@ def _expm_pade(a: CMatrix) -> CMatrix:
     return result
 
 
-def _eigen_amps(es: Eigensystem, amps0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-i h t) amps0 for every matrix h of a stacked eigensystem and
-    every t in ``times``, shape (k, len(times), n), filled by chunks of
-    about ``_CHUNK`` vectors; the rows of the ``degenerate`` matrices are
-    NaN.
+def _expm_amps(hs: np.ndarray, amps0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """exp(-i h t) amps0 for every matrix h of the (k, n, n) stack ``hs``
+    and every t in ``times``, shape (k, len(times), n), from one stacked
+    ``eigensystem`` call.
 
-    Each amplitude vector is its own product of V with the phased
-    coefficients V^-1 amps0, so its bits do not depend on how many
-    matrices or times are computed with it.
+    A matrix whose eigenpairs are trusted takes the eigen kernel, filled
+    by chunks of about ``_CHUNK`` vectors: each amplitude vector is its
+    own product of V with the phased coefficients V^-1 amps0.  A
+    ``degenerate`` matrix takes a scaling-and-squaring Pade exponential
+    at every t.  Either way a vector's bits do not depend on how many
+    matrices or times are computed with it.  Overflow and NaN are left
+    to the caller's finiteness check; raises ValueError if an entry is
+    not finite or a Pade norm is out of range.
     """
+    es = eigensystem(hs)
     k, n = es.values.shape
     amps = np.empty((k, times.size, n), dtype=np.complex128)
     step = max(1, _CHUNK // k)
-    # overflow and NaN are left to the caller's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = es.inverse @ amps0
         for start in range(0, times.size, step):
             part = slice(start, start + step)
             phases = np.exp(-1j * times[part, None] * es.values[:, None, :])
             amps[:, part] = (es.vectors[:, None] @ (phases * coeffs[:, None, :])[..., None])[..., 0]
-    amps[es.degenerate] = np.nan
+        for j in np.flatnonzero(es.degenerate):
+            amps[j] = [_expm_pade(-1j * hs[j] * t) @ amps0 for t in times]
     return amps
 
 
@@ -343,22 +342,15 @@ def propagate_expm(h: CMatrix, s0: State, grid: TimeGrid) -> Trajectory:
     Uses the eigen-decomposition of h; if it is ``degenerate`` (for
     instance, the eigenvector matrix has 1-norm condition number above
     1e6), each grid point falls back to a scaling-and-squaring Pade
-    exponential.  Raises ValueError if an amplitude is not finite, e.g.
-    after an overflow.
+    exponential (``_expm_amps`` on a stack of one).  Raises ValueError
+    if an amplitude is not finite, e.g. after an overflow.
     """
     h = np.asarray(h, dtype=np.complex128)
     if h.shape != (s0.basis.dim, s0.basis.dim):
         raise ValueError(f"Hamiltonian shape {h.shape} does not match basis {s0.basis.value}")
     rel_times = grid.times()
     rel_times -= grid.t_start
-
-    es = eigensystem(h[None])
-    if not es.degenerate[0]:
-        amps = _eigen_amps(es, s0.amps, rel_times)[0]
-    else:
-        # overflow and NaN are reported once, by the finiteness check
-        with np.errstate(over="ignore", invalid="ignore"):
-            amps = np.array([_expm_pade(-1j * h * t) @ s0.amps for t in rel_times])
+    amps = _expm_amps(h[None], s0.amps, rel_times)[0]
     return Trajectory(grid, s0.basis, amps, _ionization_values(amps))
 
 
@@ -476,37 +468,6 @@ def model_eigenvalues(p: Params, model: str) -> np.ndarray:
     return values[np.lexsort((values.imag, values.real))]
 
 
-def _block_model_amps(p: Params, model: str, s0: State, deltas: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Amplitudes of a ``_BLOCK_MODELS`` model from ``s0`` at every
-    detuning in ``deltas`` and every time in ``times``: shape (len(deltas),
-    len(times), dim), for ``four_state`` in the bright/dark basis, filled
-    by chunks of about ``_CHUNK`` vectors.
-
-    The Hamiltonian is built once, at delta = -0.0; every builder adds
-    the detuning to the excited diagonal only, which the pi/4 rotation
-    leaves in place, so each detuning enters ``_block_amps`` as a shift
-    of the lower diagonal entry.  ``four_state`` is split by
-    ``block_diagonalize`` into its bright block and its dark pair, a pure
-    phase; raises ValueError unless every other entry of the rotated
-    matrix, the dark pair's loss and coupling included, is at roundoff.
-    """
-    bright, dark_diag = _blocks(build_hamiltonian(replace(p, delta=-0.0), model), model)
-    v0 = s0.amps
-    if model == "four_state":
-        v0 = _BRIGHT_DARK_MAP @ s0.amps
-    amps = np.empty((deltas.size, times.size, v0.size), dtype=np.complex128)
-    step = max(1, _CHUNK // deltas.size)
-    for start in range(0, times.size, step):
-        part = slice(start, start + step)
-        t = times[part]
-        _block_amps(bright, deltas, v0[:2], t, amps[:, part, :2])
-        if v0.size == 4:
-            with np.errstate(over="ignore", invalid="ignore"):
-                amps[:, part, 2] = np.exp(-1j * (dark_diag[0] * t)) * v0[2]
-                amps[:, part, 3] = np.exp(-1j * ((dark_diag[1] + deltas)[:, None] * t)) * v0[3]
-    return amps
-
-
 def _detuning_stack(h0: CMatrix, deltas: np.ndarray) -> np.ndarray:
     """``h0`` with each delta in ``deltas`` added to the real parts of its
     excited diagonal entries (the second half of the basis).
@@ -530,40 +491,63 @@ def _norm_kept(ionization: np.ndarray, s0: State) -> np.ndarray:
     return ionization >= _ionization_values(s0.amps) - 1e-9
 
 
+def _model_amps(p: Params, model: str, s0: State, deltas: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Amplitudes of ``model`` from ``s0`` at every detuning in ``deltas``
+    and every time in ``times``: shape (len(deltas), len(times), dim), for
+    ``four_state`` in the bright/dark basis, else in the basis of ``s0``.
+
+    The Hamiltonian is built once, at delta = -0.0; every builder adds
+    the detuning last, to the excited diagonal only.  ``nondegenerate4``
+    does not split: its ``_detuning_stack``, each matrix the builder's
+    bit for bit, goes through ``_expm_amps``.  The other models run the
+    closed form of their 2x2 block by chunks of about ``_CHUNK`` vectors,
+    each detuning a shift of the block's lower diagonal entry, which the
+    pi/4 rotation leaves in place.  ``four_state`` is split by
+    ``block_diagonalize`` into its bright block and its dark pair, a pure
+    phase; raises ValueError unless every other entry of the rotated
+    matrix, the dark pair's loss and coupling included, is at roundoff.
+    """
+    h0 = build_hamiltonian(replace(p, delta=-0.0), model)
+    if model not in _BLOCK_MODELS:
+        return _expm_amps(_detuning_stack(h0, deltas), s0.amps, times)
+    bright, dark_diag = _blocks(h0, model)
+    v0 = s0.amps
+    if model == "four_state":
+        v0 = _BRIGHT_DARK_MAP @ s0.amps
+    amps = np.empty((deltas.size, times.size, v0.size), dtype=np.complex128)
+    step = max(1, _CHUNK // deltas.size)
+    for start in range(0, times.size, step):
+        part = slice(start, start + step)
+        t = times[part]
+        _block_amps(bright, deltas, v0[:2], t, amps[:, part, :2])
+        if v0.size == 4:
+            with np.errstate(over="ignore", invalid="ignore"):
+                amps[:, part, 2] = np.exp(-1j * (dark_diag[0] * t)) * v0[2]
+                amps[:, part, 3] = np.exp(-1j * ((dark_diag[1] + deltas)[:, None] * t)) * v0[3]
+    return amps
+
+
 def _scan_ionization(p: Params, model: str, init, deltas: np.ndarray, t_obs: float) -> np.ndarray:
     """Ionization at ``t_obs`` for every detuning in ``deltas``, bit for
-    bit as ``evolve`` computes it.
-
-    The block models run ``_block_model_amps`` over ``_CHUNK`` detunings
-    at a time, as ``evolve`` does for one.  ``nondegenerate4`` is propagated
-    ``_SCAN_BLOCK`` detunings at a time, each block through one stacked
-    ``eigensystem`` of ``_detuning_stack`` and the kernel that
-    ``propagate_expm`` runs.  A point whose result is not finite or
-    gains norm, such as a ``nondegenerate4`` point the eigen kernel does
-    not trust, is run alone by ``evolve``, with its Pade fallback and its
-    norm check; so is every point of a block that LAPACK fails on.
-    Raises RuntimeError naming the detuning if that run fails.
+    bit as ``evolve`` computes it: ``_model_amps`` over ``_CHUNK``
+    detunings per call, as ``evolve`` calls it for one.  A point that
+    failed, whose result is not finite or gains norm, or that lies in a
+    chunk that raised (an entry overflowed, or LAPACK refused the
+    stack), is run alone by ``evolve`` and its checks.  Raises
+    RuntimeError naming the detuning if that run fails.
     """
     s0 = _initial_state(model, init)
     grid = TimeGrid(0.0, t_obs, 2)
     times = grid.times()[1:]
-    values = np.empty(deltas.size)
-    if model in _BLOCK_MODELS:
-        for start in range(0, deltas.size, _CHUNK):
-            amps = _block_model_amps(p, model, s0, deltas[start : start + _CHUNK], times)
-            with np.errstate(over="ignore", invalid="ignore"):
-                values[start : start + _CHUNK] = _ionization_values(amps[:, 0])
-    else:
-        h0 = build_hamiltonian(replace(p, delta=-0.0), model)
-        for start in range(0, deltas.size, _SCAN_BLOCK):
-            block = deltas[start : start + _SCAN_BLOCK]
-            try:
-                amps = _eigen_amps(eigensystem(_detuning_stack(h0, block)), s0.amps, times)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    values[start : start + block.size] = _ionization_values(amps[:, 0])
-            except (ValueError, np.linalg.LinAlgError):
-                # a detuning overflowed an entry, or LAPACK failed on the block
-                values[start : start + block.size] = np.nan
+    values = np.full(deltas.size, np.nan)
+    for start in range(0, deltas.size, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        try:
+            amps = _model_amps(p, model, s0, deltas[part], times)
+        except (ValueError, np.linalg.LinAlgError):
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            values[part] = _ionization_values(amps[:, 0])
     for k in np.flatnonzero(~_norm_kept(values, s0)):
         d = float(deltas[k])
         try:
@@ -869,31 +853,30 @@ def evolve(p: Params, model: str, init, grid: TimeGrid) -> Trajectory:
 
     ``model`` is one of ``MODELS``; ``init`` one of ``INITS`` or a State
     in a basis compatible with the model.  Constant Hamiltonians are
-    propagated exactly: ``four_state``, ``bright2`` and ``twolevel2``
-    by the closed form of their 2x2 blocks, ``nondegenerate4`` by
-    ``propagate_expm``.  Raises ValueError if a Hamiltonian entry or an
-    amplitude is not finite, or if the ionization falls more than 1e-9
-    below its initial value: these Hamiltonians can only lose norm.
+    propagated exactly, by ``_model_amps`` at the one detuning
+    ``p.delta``: ``four_state``, ``bright2`` and ``twolevel2`` by the
+    closed form of their 2x2 blocks, ``nondegenerate4`` by the eigen
+    kernel with its Pade fallback, as ``propagate_expm``.  Raises
+    ValueError if a Hamiltonian entry or an amplitude is not finite, or
+    if the ionization falls more than 1e-9 below its initial value: these
+    Hamiltonians can only lose norm.
 
     Four-state trajectories are reported in the bright/dark basis only;
-    ``nondegenerate4``'s original-basis amplitudes are mapped onto it in
-    place, row by row.
+    ``nondegenerate4``'s original-basis amplitudes, whose ionization is
+    computed first, are mapped onto it in place, row by row.
     """
     h = build_hamiltonian(p, model)
     s0 = _initial_state(model, init)
-    if model in _BLOCK_MODELS:
-        if not np.all(np.isfinite(h)):
-            raise ValueError("matrix entries must be finite")
-        times = grid.times()
-        times -= grid.t_start
-        amps = _block_model_amps(p, model, s0, np.array([float(p.delta)]), times)[0]
-        basis = Basis.BRIGHTDARK4 if model == "four_state" else s0.basis
-        traj = Trajectory(grid, basis, amps, _ionization_values(amps))
-    else:
-        traj = propagate_expm(h, s0, grid)
+    if not np.all(np.isfinite(h)):
+        raise ValueError("matrix entries must be finite")
+    times = grid.times()
+    times -= grid.t_start
+    amps = _model_amps(p, model, s0, np.array([float(p.delta)]), times)[0]
+    basis = Basis.BRIGHTDARK4 if model == "four_state" else s0.basis
+    traj = Trajectory(grid, basis, amps, _ionization_values(amps))
     if not _norm_kept(traj.ionization, s0).all():
         raise ValueError(f"the norm grew during propagation: ionization fell to {traj.ionization.min():.3g}")
     if model == "nondegenerate4":
-        bright_dark = _map_rows(_BRIGHT_DARK_MAP, traj.amps, traj.amps)
+        bright_dark = _map_rows(_BRIGHT_DARK_MAP, amps, amps)
         return Trajectory(grid, Basis.BRIGHTDARK4, bright_dark, traj.ionization)
     return traj

@@ -152,7 +152,7 @@ def dark_hamiltonian(p: Params) -> CMatrix:
     return np.array(
         [
             [0.5 * p.q_gg * p.gamma_g + p.stark_g, 0.0],
-            [0.0, p.delta + 0.5 * p.q_ee * p.gamma_e + p.stark_e],
+            [0.0, 0.5 * p.q_ee * p.gamma_e + p.stark_e + p.delta],
         ],
         dtype=np.complex128,
     )

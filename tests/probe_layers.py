@@ -11,10 +11,12 @@ Each layer is called on the shapes of the benchmark's workloads:
   matrices, the detunings of a ``splitting`` scan;
 * ``dynamics.propagate_expm`` and ``dynamics.evolve``: 20001 samples over
   [0, 6] from g1 at the trapping detuning (``nondegenerate4`` and
-  ``four_state``), as in ``trajectory``;
+  ``four_state``), as in ``trajectory``, and
+  ``dynamics.evolve[nondegenerate4]`` on the matrix of the first;
 * ``dynamics.integrate``: ``nondegenerate4`` at the weak drive over
   [0, 40], 401 samples, tol 1e-12, as in ``splitting``;
-* ``analysis.fano_scan``: ``four_state`` at 2001 detunings, as in ``scan``;
+* ``analysis.fano_scan``: ``four_state`` at 2001 detunings, as in ``scan``,
+  and ``analysis.fano_scan[nondegenerate4]`` from g1 at the same 2001;
 * ``analysis.degeneracy_validity``: one ``splitting`` command;
 * ``cli.write_csv`` and ``cli.render_svg``: the ``fano_scan`` profile
   and the ``evolve`` trajectory, each written twice: to a fresh path
@@ -112,7 +114,9 @@ def _layers(small: bool, tmp: Path):
         ("dynamics.propagate_expm", lambda: propagate_expm(h_split, g1, trajectory_grid)),
         ("dynamics.integrate", lambda: integrate(build_hamiltonian(weak, "nondegenerate4"), g1, splitting_grid, 1e-12)),
         ("dynamics.evolve", lambda: evolve(strong, "four_state", "g1", trajectory_grid)),
+        ("dynamics.evolve[nondegenerate4]", lambda: evolve(split, "nondegenerate4", "g1", trajectory_grid)),
         ("analysis.fano_scan", lambda: fano_scan(strong, scan_deltas, 6.0, "bright", "four_state")),
+        ("analysis.fano_scan[nondegenerate4]", lambda: fano_scan(split, scan_deltas, 6.0, "g1", "nondegenerate4")),
         ("analysis.degeneracy_validity", lambda: degeneracy_validity(weak, splitting_grid, splitting_deltas, 1e-12)),
     ]
     for writer, suffix in ((write_csv, ".csv"), (render_svg, ".svg")):

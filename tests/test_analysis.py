@@ -28,6 +28,7 @@ from lics import (
     default_delta_grid,
     degeneracy_validity,
     effective_hamiltonian,
+    eigensystem,
     evolve,
     fano_scan,
     integrate,
@@ -244,6 +245,28 @@ class TestScanKernel:
         assert profile.ionization[k] == expected
         for d, ion in zip(deltas, profile.ionization):
             h = build_hamiltonian(dataclasses.replace(p, delta=float(d)), model)
+            amps = scipy.linalg.expm(-6j * h) @ s0.amps
+            assert abs(ion - (1.0 - np.vdot(amps, amps).real)) < 1e-10
+
+    def test_nondegenerate4_pade_points_inside_a_call(self):
+        """With zero shifts nondegenerate4 is exactly defective at 4.75.  The
+        scan's one call of 2001 matrices mixes that one, which takes the
+        Pade exponential, with trusted ones, and every point keeps the
+        bits of per-point ``evolve``."""
+        p = Params(**EXCEPTIONAL)
+        deltas = np.linspace(-5.25, 14.75, 2001)  # step 0.01
+        stack = _detuning_stack(build_hamiltonian(dataclasses.replace(p, delta=-0.0), "nondegenerate4"), deltas)
+        assert np.flatnonzero(eigensystem(stack).degenerate).tolist() == np.flatnonzero(deltas == 4.75).tolist()
+        s0 = State(Basis.ORIGINAL4, [1.0, 0.0, 0.0, 0.0])
+        profile = fano_scan(p, deltas, 6.0, s0, "nondegenerate4")
+
+        grid = TimeGrid(0.0, 6.0, 2)
+        expected = [
+            evolve(dataclasses.replace(p, delta=float(d)), "nondegenerate4", s0, grid).ionization[-1]
+            for d in deltas
+        ]
+        np.testing.assert_array_equal(profile.ionization, expected)
+        for h, ion in zip(stack, profile.ionization):
             amps = scipy.linalg.expm(-6j * h) @ s0.amps
             assert abs(ion - (1.0 - np.vdot(amps, amps).real)) < 1e-10
 

@@ -16,11 +16,14 @@ from lics import (
     DegeneracyReport,
     FanoProfile,
     Params,
+    State,
     TimeGrid,
     Trajectory,
     degeneracy_validity,
+    effective_hamiltonian,
     evolve,
     fano_scan,
+    integrate,
     trapping_delta,
 )
 from lics import cli
@@ -247,6 +250,22 @@ class TestWriteCsv:
         assert float(first[0]) == 0.0
         assert float(first[9]) == pytest.approx(1.0, abs=1e-15)  # pop_bg
         assert float(first[13]) == pytest.approx(0.0, abs=1e-14)  # ionization
+
+    def test_original_basis_trajectory_is_written_bright_dark(self, tmp_path, strong_params):
+        """An ORIGINAL4 trajectory, such as ``integrate``'s, is written under
+        the bright/dark header: its rows are mapped, never ``data.amps``."""
+        grid = TimeGrid(0.0, 1.0, 3)
+        s0 = State(Basis.ORIGINAL4, [1.0, 0.0, 0.0, 0.0])
+        traj = integrate(effective_hamiltonian(strong_params), s0, grid)
+        amps = traj.amps.copy()
+        write_csv(traj, tmp_path / "original.csv")
+        write_csv(evolve(strong_params, "four_state", "g1", grid), tmp_path / "closed.csv")
+        assert np.array_equal(traj.amps, amps)
+        original = (tmp_path / "original.csv").read_text().splitlines()
+        closed = (tmp_path / "closed.csv").read_text().splitlines()
+        assert original[:2] == closed[:2]
+        cells = [np.array([row.split(",") for row in lines], dtype=float) for lines in (original[1:], closed[1:])]
+        np.testing.assert_allclose(cells[0], cells[1], rtol=0, atol=1e-9)
 
     def test_two_state_trajectory_fills_dark_columns_with_zeros(self, tmp_path, strong_params):
         traj = evolve(strong_params, "twolevel2", "g1", TimeGrid(0.0, 1.0, 3))
@@ -917,6 +936,18 @@ class TestDegenerateAxes:
         assert "nan" not in path.read_text()
         polyline = ET.parse(path).getroot().find("{http://www.w3.org/2000/svg}polyline")
         assert [point.split(",")[0] for point in polyline.get("points").split()] == ["64.00", "592.00"]
+
+    def test_an_overflowing_y_span(self, tmp_path):
+        """ymax - ymin = inf: the span and its headroom are taken at half
+        scale, so the points land where the span [-1, 1] puts them."""
+        path = tmp_path / "tall.svg"
+        profile = FanoProfile(np.array([0.0, 1.0]), np.array([-1e308, 1e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            render_svg(profile, path)
+        assert "nan" not in path.read_text()
+        polyline = ET.parse(path).getroot().find("{http://www.w3.org/2000/svg}polyline")
+        assert [point.split(",")[1] for point in polyline.get("points").split()] == ["432.00", "47.24"]
 
     def test_one_far_detuned_point(self, tmp_path):
         """1e20 + 1.0 is 1e20: the x axis of a single point must still widen."""

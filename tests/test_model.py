@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,15 @@ class TestDarkHamiltonian:
         hd = dark_hamiltonian(p)
         assert hd[1, 1] == pytest.approx(0.809 + 31.85 + 0.6, abs=1e-12)
         assert np.all(hd.imag == 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=params_strategy)
+    def test_detuning_is_added_last(self, p):
+        """Bit for bit the entry at delta = -0.0 plus delta, as every
+        builder adds the detuning (module docstring)."""
+        ref = dark_hamiltonian(dataclasses.replace(p, delta=-0.0))
+        ref.real[1, 1] += p.delta
+        assert np.array_equal(dark_hamiltonian(p).view(np.uint64), ref.view(np.uint64))
 
     def test_no_fano_limit(self):
         p = Params(gamma_g=3.0, gamma_e=7.0, stark_g=0.1, stark_e=0.2, delta=1.0)
