@@ -3,8 +3,9 @@ Python string per number.
 
 ``g17_rows`` formats a table as ``%.17g`` CSV rows and ``f2_points`` a
 polyline as ``%.2f,%.2f`` pairs.  Each cell is built in a fixed-width
-row of bytes, and one mask keeps the bytes of its text; the rows are
-compacted 64 KiB at a time, so no index of every kept byte is formed.
+row of bytes, and a mask clears every byte that is not its text, so the
+row holds the text padded with NUL bytes.  No byte of any text is NUL, so
+``bytes.translate`` compacts the rows by deleting them, 64 KiB at a time.
 The 17 digits come from the exact double-double product of the value
 and a power of ten (Dekker, Numer. Math. 18 (1971) 224-242).  As in Grisu3
 (Loitsch, PLDI 2010), a cell the arithmetic cannot decide goes to ``%``:
@@ -132,8 +133,8 @@ def _templates() -> tuple[np.ndarray, ...]:
     """Per class c (0 for zero, else X - _X_MIN + 1): the words of
     ``_layout``, the kind k of its kept bytes, and the last word of the
     row at c * 2 + (the cell ends a line); and the mask of the kept bytes,
-    bit i for byte i of a little-endian uint32, at (k * 2 + negative) * 18
-    + significant digits."""
+    0xFF for a kept byte and 0 for the rest, as four little-endian uint64
+    at row (k * 2 + negative) * 18 + significant digits."""
     xs = np.arange(_X_MIN, _X_MAX + 1)
     texts = [b""] + [b"" if -4 <= x < 17 else b"e%+03d" % x for x in xs.tolist()]
     n = len(texts)
@@ -153,8 +154,8 @@ def _templates() -> tuple[np.ndarray, ...]:
     kind = np.array([kinds.setdefault(r.tobytes(), len(kinds)) for r in need])
     need = np.repeat(np.frombuffer(b"".join(kinds), dtype=np.uint8).reshape(-1, 32), 2, axis=0)
     need[0::2, 0] = _NEVER  # a positive cell has no sign
-    masks = np.packbits(need[:, None, :] <= np.arange(18)[:, None], axis=-1, bitorder="little")
-    return words, kind, suffix.reshape(2 * n, 8).view("<u8").ravel(), masks.view("<u4").ravel()
+    masks = (need[:, None, :] <= np.arange(18)[:, None]).astype(np.uint8) * np.uint8(0xFF)
+    return words, kind, suffix.reshape(2 * n, 8).view("<u8").ravel(), masks.view("<u8").reshape(-1, 4)
 
 
 def _g17_digits(a: np.ndarray):
@@ -200,8 +201,8 @@ def _g17_digits(a: np.ndarray):
     return d, x, undecided
 
 
-# bytes of rows compacted by one np.compress, whose index of the kept
-# bytes takes 8 bytes per byte
+# bytes of rows compacted by one bytes.translate, which copies them
+# into a bytes object first
 _PIECE_BYTES = 1 << 16
 
 
@@ -256,17 +257,15 @@ def g17_rows(table: np.ndarray) -> Iterator[bytes]:
         part = mid[start : start + cells]
         quarters[part] = np.take_along_axis(quarters[part], np.take(words, cls[part], axis=0), axis=1)
     del mid
-    keep = np.take(masks, (2 * np.take(kind, cls) + np.signbit(v)) * 18 + nsig)
+    row &= np.take(masks, (2 * np.take(kind, cls) + np.signbit(v)) * 18 + nsig, axis=0)
     del cls, nsig
     text = row.view(np.uint8)
     for i in left:
         cell = b"%.17g" % v[i] + (b"\n" if i % cols == cols - 1 else b",")  # at most 25 bytes
+        text[i] = 0
         text[i, : len(cell)] = np.frombuffer(cell, dtype=np.uint8)
-        keep[i] = (1 << len(cell)) - 1
     for start in range(0, len(v), cells):
-        piece = slice(start, start + cells)
-        bits = np.unpackbits(keep[piece].view(np.uint8), bitorder="little").view(bool)
-        yield np.compress(bits, text[piece]).tobytes()
+        yield text[start : start + cells].tobytes().translate(None, b"\0")
 
 
 _F2_MAX = 1e4  # %.2f cells at or above it go to %; SVG coordinates stay below 1e3
@@ -361,10 +360,10 @@ def f2_points(
                 formatted = rows
             values = fy(y(rows))  # formed once, for the fast path and for %
             if x_fits and _f2_cells(values, b" ", cells[:m, 3:], keep[:m, 12:]):
+                # NUL out the bytes that are not text; x cells cleared for an earlier series stay as they are
+                np.multiply(text[:m], keep[:m], out=text[:m])
                 step = _PIECE_BYTES // 24
-                piece = b"".join(
-                    np.compress(keep[k:m][:step].ravel(), text[k:m][:step]).tobytes() for k in range(0, m, step)
-                )
+                piece = b"".join(text[k:m][:step].tobytes().translate(None, b"\0") for k in range(0, m, step))
             else:  # a cell too long for its row: the chunk as % gives it
                 points = zip(xs.tolist(), values.tolist())
                 piece = "".join(map("%.2f,%.2f ".__mod__, points)).encode()

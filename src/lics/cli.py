@@ -344,20 +344,22 @@ def _escape(text: str) -> str:
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
+    # Python floats: a sum past the largest double is inf, without a warning
+    lo, hi = float(lo), float(hi)
     span = hi - lo
     raw = span / 6  # about six ticks per axis
     if not 0 < raw < np.inf:  # an empty span, or one that underflows or overflows
         return [lo] if span <= 0 else [lo, hi]
-    mag = 10.0 ** np.floor(np.log10(raw))
+    mag = float(10.0 ** np.floor(np.log10(raw)))
     step = next((s * mag for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw), None)
     if step is None:  # a span below about 6e-323, whose power of ten underflows
         return [lo, hi]
-    first = np.ceil(lo / step) * step
     ticks = []
-    t = first
-    while t <= hi + 1e-9 * span:
-        if t >= lo - 1e-9 * span:  # first can round below lo on a span of a few ulps
-            ticks.append(0.0 if abs(t) < 1e-12 * span else float(t))
+    t = float(np.ceil(lo / step)) * step
+    # the top plus its margin is inf near the largest double; a tick past it is inf too
+    while t <= hi + 1e-9 * span and t < np.inf:
+        if t >= lo - 1e-9 * span:  # the first can round below lo on a span of a few ulps
+            ticks.append(0.0 if abs(t) < 1e-12 * span else t)
         if t + step == t:  # a step below half an ulp of t
             break
         t += step

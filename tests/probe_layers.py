@@ -18,6 +18,11 @@ Each layer is called on the shapes of the benchmark's workloads:
 * ``analysis.fano_scan``: ``four_state`` at 2001 detunings, as in ``scan``,
   and ``analysis.fano_scan[nondegenerate4]`` from g1 at the same 2001;
 * ``analysis.degeneracy_validity``: one ``splitting`` command;
+* ``_text.g17_rows``: the 20001 x 14 float table of the ``evolve``
+  trajectory's CSV, read back from it, in the CSV's blocks of rows, and
+  ``_text.f2_points``: that trajectory's polylines, as ``render_svg``
+  forms them; neither writes a file, so a change to a formatter shows
+  without the file system's share;
 * ``cli.write_csv`` and ``cli.render_svg``: the ``fano_scan`` profile
   and the ``evolve`` trajectory, each written twice: to a fresh path
   (``fresh``) and over an existing output of the same bytes (``over``).
@@ -78,7 +83,8 @@ def _layers(small: bool, tmp: Path):
         propagate_expm,
         trapping_delta,
     )
-    from lics.cli import render_svg, write_csv
+    from lics._text import f2_points, g17_rows
+    from lics.cli import _CSV_CELLS, render_svg, write_csv
 
     scale = 20 if small else 1
     strong = Params(**STRONG, delta=trapping_delta(Params(**STRONG)))
@@ -94,6 +100,26 @@ def _layers(small: bool, tmp: Path):
     profile = fano_scan(strong, scan_deltas, 6.0, "bright", "four_state")
     trajectory = evolve(strong, "four_state", "g1", trajectory_grid)
     fresh = itertools.count()
+    write_csv(trajectory, tmp / "table.csv")
+    table = np.loadtxt(tmp / "table.csv", delimiter=",", skiprows=1, ndmin=2)
+    (tmp / "table.csv").unlink()
+    block = _CSV_CELLS // table.shape[1]
+    amps = trajectory.amps
+    ys = [lambda rows, j=j: np.abs(amps[rows, j]) ** 2 for j in range(amps.shape[1])]
+    ys.append(trajectory.ionization.__getitem__)
+
+    def format_table():
+        for start in range(0, len(table), block):
+            for _ in g17_rows(table[start : start + block]):
+                pass
+
+    def format_polylines():
+        # the plot's maps of [0, 6] x [0, 1.05] onto its pixels
+        polylines = f2_points(len(table), trajectory.grid.times, ys, lambda t: 64.0 + t / 6.0 * 528.0,
+                              lambda v: 28.0 + (1.05 - v) / 1.05 * 404.0)
+        for pieces in polylines:
+            for _ in pieces:
+                pass
 
     def to_fresh(writer, data, suffix):
         def call():
@@ -118,6 +144,8 @@ def _layers(small: bool, tmp: Path):
         ("analysis.fano_scan", lambda: fano_scan(strong, scan_deltas, 6.0, "bright", "four_state")),
         ("analysis.fano_scan[nondegenerate4]", lambda: fano_scan(split, scan_deltas, 6.0, "g1", "nondegenerate4")),
         ("analysis.degeneracy_validity", lambda: degeneracy_validity(weak, splitting_grid, splitting_deltas, 1e-12)),
+        ("_text.g17_rows", format_table),
+        ("_text.f2_points", format_polylines),
     ]
     for writer, suffix in ((write_csv, ".csv"), (render_svg, ".svg")):
         for kind, data in (("profile", profile), ("trajectory", trajectory)):

@@ -949,6 +949,30 @@ class TestDegenerateAxes:
         polyline = ET.parse(path).getroot().find("{http://www.w3.org/2000/svg}polyline")
         assert [point.split(",")[1] for point in polyline.get("points").split()] == ["432.00", "47.24"]
 
+    def test_an_x_axis_up_to_near_the_largest_double(self, tmp_path):
+        """A tick step past the top of [0, 1.75e308] overflows: the ticks
+        stop there, without a warning."""
+        path = tmp_path / "far-right.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            render_svg(FanoProfile(np.array([0.0, 1.75e308]), np.array([0.1, 0.2])), path)
+        ticks = [t for t in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")
+                 if t.get("text-anchor") == "middle" and t.get("font-size") == "11"]
+        assert [t.text for t in ticks] == ["0", "5e+307", "1e+308", "1.5e+308"]
+
+    def test_a_y_axis_up_to_near_the_largest_double(self, tmp_path):
+        """The padded top of [0, 1.75e308] is clamped to the largest double,
+        and the tick loop's margin above it is inf: no tick goes past it."""
+        path = tmp_path / "far-up.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            render_svg(FanoProfile(np.array([0.0, 1.0]), np.array([0.0, 1.75e308])), path)
+        text = path.read_text()
+        assert "inf" not in text and "nan" not in text
+        ticks = [t for t in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")
+                 if t.get("text-anchor") == "end"]
+        assert [t.text for t in ticks] == ["0", "5e+307", "1e+308", "1.5e+308"]
+
     def test_one_far_detuned_point(self, tmp_path):
         """1e20 + 1.0 is 1e20: the x axis of a single point must still widen."""
         path = tmp_path / "far.svg"

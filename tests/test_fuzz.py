@@ -44,8 +44,8 @@ def test_layer_probe_runs(tmp_path):
                        "--dir", str(tmp_path))
     assert done.returncode == 0, done.stdout + done.stderr
     lines = [json.loads(line) for line in done.stdout.splitlines()]
-    assert {"cli.write_csv[trajectory,fresh]", "cli.render_svg[profile,over]", "dynamics.integrate"} <= {
-        line["layer"] for line in lines
-    }
+    expected = {"_text.g17_rows", "_text.f2_points", "cli.write_csv[trajectory,fresh]", "cli.render_svg[profile,over]",
+                "dynamics.integrate"}
+    assert expected <= {line["layer"] for line in lines}
     assert all(line["pairs"] == 1 and line["ratio"] > 0 for line in lines)
     assert list(tmp_path.iterdir()) == []

@@ -209,3 +209,31 @@ class TestF2Points:
         for x in (x, x_long):
             expected = [_per_pair_points(x, y_long), _per_pair_points(x, y)]
             assert _joined(_points(x, [y_long, y])) == expected
+
+
+_SPECIAL = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -1e-3, 1e300, -1e7, 1 + 2.0**-17])
+
+
+class TestNulPadding:
+    """A row holds its cell's text padded with NUL bytes, and compaction
+    deletes every NUL: no text may hold one, and no byte of a row may
+    outlive its cell's text."""
+
+    def test_no_output_holds_a_nul_byte(self):
+        g17 = np.concatenate([_g17_values(), _SPECIAL])
+        g17 = g17[: len(g17) // 14 * 14].reshape(-1, 14)
+        assert all(b"\0" not in piece for piece in g17_rows(g17))
+        y = np.concatenate([_f2_values(), _SPECIAL])
+        x = np.random.default_rng(1616).permutation(y)
+        for ys in ([y], [y[_fits_a_row(y)]]):  # with and without chunks sent to %
+            xs = x[: len(ys[0])]
+            assert all(b"\0" not in piece for pieces in _points(xs, ys) for piece in pieces)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1 + 2.0**-17])
+    def test_a_percent_cell_in_every_column(self, value):
+        """nan, inf and an undecided tie go to %; the row they go into held
+        the built text of another value first, whose bytes must not stay."""
+        table = np.tile(np.array([[0.5], [-123.25], [1e-5], [7e22]]), (1, 14))
+        table[np.arange(14) % 4, np.arange(14)] = value
+        table = np.vstack([table, np.full((1, 14), value)])
+        assert b"".join(g17_rows(table)) == _per_cell_rows(table)
